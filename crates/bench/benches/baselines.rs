@@ -10,10 +10,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isis_bench::fixture;
 use isis_query::{
-    compile_subclass_predicate, encode_database, eval_plan, optimize, Cell, IndexedEvaluator,
-    QbeQuery, TemplateRow,
+    compile_subclass_predicate, encode_database, eval_plan, optimize, Cell, IndexService, QbeQuery,
+    TemplateRow,
 };
-// (parallel evaluator referenced via the crate path below)
 
 fn engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("baselines");
@@ -76,9 +75,9 @@ fn engines(c: &mut Criterion) {
         });
 
         // Index-pruned ISIS evaluation.
-        let mut indexed = IndexedEvaluator::new();
-        indexed.add_index(&f.s.db, f.s.size).unwrap();
-        indexed.add_index(&f.s.db, f.s.plays).unwrap();
+        let mut indexed = IndexService::new(&f.s.db);
+        indexed.ensure_index(&f.s.db, f.s.size).unwrap();
+        indexed.ensure_index(&f.s.db, f.s.plays).unwrap();
         g.bench_with_input(BenchmarkId::new("isis_indexed", n), &n, |b, _| {
             b.iter(|| {
                 indexed
@@ -88,13 +87,7 @@ fn engines(c: &mut Criterion) {
         });
 
         // Optimizer-reordered ISIS evaluation (reordering done once).
-        let (opt, _) = optimize(
-            &f.s.db,
-            f.s.music_groups,
-            &f.quartets,
-            Some(indexed.service()),
-        )
-        .unwrap();
+        let (opt, _) = optimize(&f.s.db, f.s.music_groups, &f.quartets, Some(&indexed)).unwrap();
         g.bench_with_input(BenchmarkId::new("isis_optimized", n), &n, |b, _| {
             b.iter(|| {
                 f.s.db
@@ -103,18 +96,14 @@ fn engines(c: &mut Criterion) {
             })
         });
 
-        // Parallel evaluation (4 workers).
-        let cache = isis_query::ProgramCache::new();
+        // Parallel evaluation (4 workers) through an index-free service.
+        let parallel = IndexService::new(&f.s.db);
+        parallel.set_eval_threads(4);
         g.bench_with_input(BenchmarkId::new("isis_parallel4", n), &n, |b, _| {
             b.iter(|| {
-                isis_query::evaluate_derived_members_parallel(
-                    &cache,
-                    &f.s.db,
-                    f.s.music_groups,
-                    &f.quartets,
-                    4,
-                )
-                .unwrap()
+                parallel
+                    .evaluate(&f.s.db, f.s.music_groups, &f.quartets)
+                    .unwrap()
             })
         });
     }

@@ -229,10 +229,10 @@ impl ProgramCache {
         }
     }
 
-    /// What the most recent [`ProgramCache::with_plan`] /
-    /// [`ProgramCache::with_program`] lookup did, or `None` before the
-    /// first lookup. EXPLAIN reads this immediately after an evaluation to
-    /// report the cache decision that evaluation actually took.
+    /// What the most recent [`ProgramCache::with_plan`] lookup did, or
+    /// `None` before the first lookup. EXPLAIN reads this immediately after
+    /// an evaluation to report the cache decision that evaluation actually
+    /// took.
     pub fn last_outcome(&self) -> Option<CacheOutcome> {
         self.last_outcome.get()
     }
@@ -251,28 +251,13 @@ impl ProgramCache {
 
     /// Runs `f` against the compiled program for `(parent, source, pred)`,
     /// compiling (or revalidating) it first as the module-level contract
-    /// requires. `indexes` sharpens the optimizer's estimates exactly as in
+    /// requires, and hands it the entry's cached access plan slot.
+    /// `indexes` sharpens the optimizer's estimates exactly as in
     /// [`PredicateProgram::compile_with`]. The cache is borrowed for the
-    /// duration of `f`, so `f` must not re-enter the same cache.
-    pub fn with_program<R, E>(
-        &self,
-        db: &Database,
-        parent: ClassId,
-        source: Option<ClassId>,
-        pred: &Predicate,
-        indexes: Option<&IndexService>,
-        f: impl FnOnce(&PredicateProgram) -> Result<R, E>,
-    ) -> Result<R, E>
-    where
-        E: From<CoreError>,
-    {
-        self.with_plan(db, parent, source, pred, indexes, |prog, _| f(prog))
-    }
-
-    /// Like [`ProgramCache::with_program`], but also hands `f` the entry's
-    /// cached access plan slot. `f` owns the validity check (see the
-    /// module docs); the cache only guarantees the slot is emptied
-    /// whenever the program it was computed alongside is recompiled.
+    /// duration of `f`, so `f` must not re-enter the same cache. `f` owns
+    /// the validity check (see the module docs); the cache only guarantees
+    /// the slot is emptied whenever the program it was computed alongside
+    /// is recompiled.
     pub fn with_plan<R, E>(
         &self,
         db: &Database,
@@ -480,7 +465,7 @@ mod tests {
         let pred = plays_pred(&im, im.piano);
         for _ in 0..3 {
             let got: OrderedSet = cache
-                .with_program(&im.db, im.musicians, None, &pred, None, |prog| {
+                .with_plan(&im.db, im.musicians, None, &pred, None, |prog, _| {
                     prog.evaluate_extent(&im.db, im.musicians)
                 })
                 .unwrap();
@@ -507,7 +492,7 @@ mod tests {
             },
         )])]);
         let before: OrderedSet = cache
-            .with_program(&im.db, im.instruments, None, &pred, None, |p| {
+            .with_plan(&im.db, im.instruments, None, &pred, None, |p, _| {
                 p.evaluate_extent(&im.db, im.instruments)
             })
             .unwrap();
@@ -516,7 +501,7 @@ mod tests {
             .assign_single(im.flute, im.family, im.woodwind)
             .unwrap();
         let after: OrderedSet = cache
-            .with_program(&im.db, im.instruments, None, &pred, None, |p| {
+            .with_plan(&im.db, im.instruments, None, &pred, None, |p, _| {
                 p.evaluate_extent(&im.db, im.instruments)
             })
             .unwrap();
@@ -537,13 +522,13 @@ mod tests {
         let cache = ProgramCache::new();
         let pred = plays_pred(&im, im.piano);
         cache
-            .with_program(&im.db, im.musicians, None, &pred, None, |p| {
+            .with_plan(&im.db, im.musicians, None, &pred, None, |p, _| {
                 p.evaluate_extent(&im.db, im.musicians)
             })
             .unwrap();
         im.db.create_baseclass("venues").unwrap();
         cache
-            .with_program(&im.db, im.musicians, None, &pred, None, |p| {
+            .with_plan(&im.db, im.musicians, None, &pred, None, |p, _| {
                 p.evaluate_extent(&im.db, im.musicians)
             })
             .unwrap();
@@ -559,7 +544,7 @@ mod tests {
         for &a in anchors.iter().take(4) {
             let pred = plays_pred(&im, a);
             cache
-                .with_program(&im.db, im.musicians, None, &pred, None, |p| {
+                .with_plan(&im.db, im.musicians, None, &pred, None, |p, _| {
                     p.evaluate_extent(&im.db, im.musicians)
                 })
                 .unwrap();
@@ -570,7 +555,7 @@ mod tests {
         let off = ProgramCache::with_capacity(0);
         let pred = plays_pred(&im, anchors[0]);
         for _ in 0..2 {
-            off.with_program(&im.db, im.musicians, None, &pred, None, |p| {
+            off.with_plan(&im.db, im.musicians, None, &pred, None, |p, _| {
                 p.evaluate_extent(&im.db, im.musicians)
             })
             .unwrap();

@@ -7,8 +7,8 @@
 //! miss), whether the cached access plan was reused and whether the fresh
 //! one qualified for pinning, the pruned pool size, the access path chosen
 //! for every atom with the optimizer's cost/selectivity estimates in
-//! evaluation order, the parallel chunking decision the session-level
-//! parallel path would take, and per-phase wall-clock timings.
+//! evaluation order, the chunking decision the evaluation took on the
+//! service's worker pool, and per-phase wall-clock timings.
 //!
 //! The record renders two ways: [`ExplainRecord::to_text`] is the REPL's
 //! plan tree; [`ExplainRecord::to_json`] is the machine-readable form the
@@ -16,9 +16,10 @@
 //! record type backs both EXPLAIN and the slow-query log
 //! ([`SlowQuery`]), so a slow capture is a full plan, not just a timing.
 
-use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate, Result};
+use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate};
 use isis_obs::Json;
 
+use crate::error::QueryError;
 use crate::optimizer::estimate_atom;
 use crate::service::{AccessPath, EvalCapture, IndexService, MAX_PLAN_CANDIDATES};
 
@@ -82,8 +83,9 @@ pub struct ExplainRecord {
     pub atoms: Vec<AtomPlan>,
     /// Configured parallel-evaluation worker count (1 = serial).
     pub threads: usize,
-    /// The chunking decision for this candidate count and thread count:
-    /// `Some((chunks, chunk_size))`, or `None` for the serial fallback.
+    /// The chunking the evaluation ran with for this candidate count and
+    /// thread count: `Some((chunks, chunk_size))`, or `None` when it ran
+    /// serially.
     pub chunks: Option<(usize, usize)>,
     /// Candidates scanned (== `candidates`; kept as the counter the
     /// registry mirrors so the record agrees with `QueryStats`).
@@ -455,7 +457,7 @@ impl IndexService {
         db: &Database,
         parent: ClassId,
         pred: &Predicate,
-    ) -> Result<(OrderedSet, ExplainRecord)> {
+    ) -> Result<(OrderedSet, ExplainRecord), QueryError> {
         let t = std::time::Instant::now();
         let mut cap = EvalCapture::default();
         let out = self.evaluate_captured(db, parent, pred, Some(&mut cap))?;

@@ -6,8 +6,9 @@
 //! structure made shared: one [`IndexManager`]-maintained set of inverted
 //! attribute indexes, kept current from the core delta log, read by
 //!
-//! * the predicate evaluator ([`IndexService::evaluate`], which the
-//!   [`crate::IndexedEvaluator`] facade delegates to),
+//! * the predicate evaluator ([`IndexService::evaluate`] and
+//!   [`IndexService::explain`], which run the same body and hand the
+//!   pruned candidates to the service's [`EvalPool`]),
 //! * the short-circuit optimizer ([`crate::optimize`] consults the service
 //!   for selectivity statistics), and
 //! * [`crate::DerivedMaintainer`]s, which walk the same indexes backwards
@@ -45,6 +46,7 @@ use std::time::Instant;
 
 use isis_obs::Counter;
 
+use crate::error::QueryError;
 use crate::explain::SlowQuery;
 
 use isis_core::{
@@ -135,13 +137,11 @@ pub struct IndexService {
     grouping_scans: Cell<u64>,
     seq_scans: Cell<u64>,
     index_misses: Cell<u64>,
-    /// Worker count for parallel evaluation through this service (0/1 =
-    /// serial). Plumbed from `SessionBuilder::eval_threads`.
-    eval_threads: Cell<usize>,
-    /// Lazily-spawned persistent worker pool, reused across queries by
-    /// [`crate::evaluate_pruned_parallel`] and across refresh rounds by
-    /// [`crate::DerivedMaintainer::settle_with`]; resized only when a
-    /// caller asks for a different width.
+    /// The evaluation workers (width from `SessionBuilder::eval_threads`;
+    /// one = serial). Every query through [`IndexService::evaluate`] /
+    /// [`IndexService::explain`] runs on it, and refresh rounds settle
+    /// through it; threads are spawned lazily on the first slice large
+    /// enough to split and reused afterwards.
     eval_pool: EvalPool,
     /// Compiled programs keyed by (parent, source, predicate fingerprint),
     /// revalidated against the delta epoch on every lookup — repeat
@@ -265,17 +265,16 @@ impl IndexService {
         self.manager.cursor()
     }
 
-    /// Configures how many workers parallel evaluation through this
-    /// service may use (`<= 1` keeps every query serial). The persistent
-    /// pool itself is spawned lazily, on the first query large enough to
-    /// parallelise.
+    /// Configures how many workers evaluation through this service may use
+    /// (`<= 1` keeps every query serial). The persistent pool itself is
+    /// spawned lazily, on the first query large enough to parallelise.
     pub fn set_eval_threads(&self, threads: usize) {
-        self.eval_threads.set(threads);
+        self.eval_pool.set_threads(threads);
     }
 
-    /// The configured parallel-evaluation worker count (at least 1).
+    /// The configured evaluation worker count (at least 1).
     pub fn eval_threads(&self) -> usize {
-        self.eval_threads.get().max(1)
+        self.eval_pool.threads()
     }
 
     /// The size of the spawned persistent pool, or `None` while no
@@ -284,8 +283,8 @@ impl IndexService {
         self.eval_pool.spawned_threads()
     }
 
-    /// The service's persistent worker pool, shared by pruned parallel
-    /// queries and large-affected-set settles.
+    /// The service's persistent worker pool, shared by queries and
+    /// refresh-round settles.
     pub fn eval_pool(&self) -> &EvalPool {
         &self.eval_pool
     }
@@ -681,15 +680,22 @@ impl IndexService {
     }
 
     /// Evaluates a whole DNF/CNF predicate over `parent`, pruning the
-    /// candidate pool through the planned access paths. Semantically
-    /// identical to [`Database::evaluate_derived_members`].
+    /// candidate pool through the planned access paths and evaluating the
+    /// survivors on the service's [`EvalPool`]. Semantically identical to
+    /// [`Database::evaluate_derived_members`] at every worker count; a
+    /// worker panic surfaces as [`QueryError::WorkerPanic`].
     ///
     /// When observability is enabled and the evaluation runs longer than
     /// [`IndexService::slow_threshold_ns`], its explain record is captured
     /// into the slow-query log. With observability off the extra cost is
     /// one atomic load — no clock is read and nothing is captured, and the
     /// result is byte-identical either way.
-    pub fn evaluate(&self, db: &Database, parent: ClassId, pred: &Predicate) -> Result<OrderedSet> {
+    pub fn evaluate(
+        &self,
+        db: &Database,
+        parent: ClassId,
+        pred: &Predicate,
+    ) -> std::result::Result<OrderedSet, QueryError> {
         let obs = isis_obs::global();
         if !obs.enabled() || self.slow_threshold_ns.get() == 0 {
             return self.evaluate_captured(db, parent, pred, None);
@@ -714,7 +720,7 @@ impl IndexService {
         parent: ClassId,
         pred: &Predicate,
         cap: Option<&mut EvalCapture>,
-    ) -> Result<OrderedSet> {
+    ) -> std::result::Result<OrderedSet, QueryError> {
         let obs = isis_obs::global();
         let _span = obs.span("query.service.evaluate");
         // The cache validates/reorders/hoists once per predicate shape
@@ -741,14 +747,9 @@ impl IndexService {
                     Some(n) => format!("pruned pool of {n} candidate(s)"),
                     None => "no prunable atom; sequential scan".to_string(),
                 });
-                let mut out = OrderedSet::new();
                 let scanned = candidates.len() as u64;
                 let t_eval = if timed { Some(Instant::now()) } else { None };
-                let mut memo = crate::program::MemoTable::new(prog);
-                for e in prog.eval_batch(db, &candidates, None, &mut memo)? {
-                    out.insert(e);
-                }
-                memo.flush_obs();
+                let out = self.eval_pool.evaluate(db, prog, &candidates, None)?;
                 let eval_ns = t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if obs.enabled() {
                     self.obs.rows_scanned.add(scanned);

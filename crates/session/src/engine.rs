@@ -135,8 +135,7 @@ enum Source {
 /// Configures and builds a [`Session`]: attach a store, pick the refresh
 /// policy, bound the database's delta log. This is the one construction
 /// path — [`Session::builder`] starts from an owned database,
-/// [`Session::open`] from a [`SharedDatabase`]; the deprecated
-/// `Session::new` / `Session::with_store` are thin wrappers over it.
+/// [`Session::open`] from a [`SharedDatabase`].
 ///
 /// ```
 /// use isis_session::Session;
@@ -174,10 +173,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets how many worker threads [`Session::query`] may use for compiled
-    /// predicate evaluation (default 1 = serial). The persistent pool is
-    /// spawned lazily on the first query large enough to split, and reused
-    /// afterwards.
+    /// Sets how many worker threads [`Session::query`], [`Session::explain`]
+    /// and refresh rounds may use for compiled predicate evaluation
+    /// (default 1 = serial). The persistent pool is spawned lazily on the
+    /// first evaluation large enough to split, and reused afterwards.
     ///
     /// ```
     /// use isis_session::Session;
@@ -265,12 +264,6 @@ impl SessionBuilder {
 }
 
 impl Session {
-    /// Starts a session on an in-memory database (no load/save).
-    #[deprecated(note = "use Session::builder(db).build()")]
-    pub fn new(db: Database) -> Session {
-        Session::builder(db).build()
-    }
-
     /// Starts configuring a session that owns its database (store, refresh
     /// policy, delta-log capacity).
     pub fn builder(db: Database) -> SessionBuilder {
@@ -297,12 +290,6 @@ impl Session {
         }
     }
 
-    /// Starts a session attached to a database directory.
-    #[deprecated(note = "use Session::builder(db).store(store).build()")]
-    pub fn with_store(db: Database, store: StoreDir) -> Session {
-        Session::builder(db).store(store).build()
-    }
-
     /// What recovery found the last time a database was loaded from the
     /// store this session, if any load has happened.
     pub fn last_recovery(&self) -> Option<&RecoveryReport> {
@@ -312,17 +299,6 @@ impl Session {
     /// Read access to the pinned snapshot.
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// Mutable access to the pinned snapshot. Mutations land in the local
-    /// buffer like any other write — they cannot bypass conflict detection,
-    /// because [`Session::commit_changes`] extracts the write set from the
-    /// delta log, not from the call path — but this accessor cannot run the
-    /// refresh pipeline afterwards, which is why it is deprecated.
-    #[deprecated(note = "use transact() so refresh policy and dirty tracking apply")]
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.dirty = true;
-        &mut self.db
     }
 
     /// The explicit write-transaction entry point: runs `f` against the
@@ -537,14 +513,15 @@ impl Session {
         self.policy
     }
 
-    /// Worker threads available to [`Session::query`] (1 = serial).
+    /// Worker threads available to [`Session::query`], [`Session::explain`]
+    /// and refresh rounds (1 = serial).
     pub fn eval_threads(&self) -> usize {
         self.eval_threads
     }
 
-    /// Reconfigures how many worker threads [`Session::query`] may use.
-    /// Takes effect on the next query; the service's persistent pool is
-    /// resized lazily.
+    /// Reconfigures how many worker threads evaluation may use. Takes
+    /// effect on the next query or refresh; the service's persistent pool
+    /// is resized lazily.
     pub fn set_eval_threads(&mut self, threads: usize) {
         self.eval_threads = threads.max(1);
         if let Some(svc) = self.service.as_ref() {
@@ -557,17 +534,6 @@ impl Session {
     /// stale until the next commit).
     pub fn set_refresh_policy(&mut self, policy: RefreshPolicy) {
         self.policy = policy;
-    }
-
-    /// Turns automatic re-evaluation of derived subclasses and attributes
-    /// after data modifications on or off.
-    #[deprecated(note = "use set_refresh_policy(RefreshPolicy::Immediate | Manual)")]
-    pub fn set_auto_refresh(&mut self, on: bool) {
-        self.policy = if on {
-            RefreshPolicy::Immediate
-        } else {
-            RefreshPolicy::Manual
-        };
     }
 
     /// Mark the incremental refresh state as unusable (the database was
@@ -683,16 +649,11 @@ impl Session {
         }
         {
             let _settle = obs.span("session.refresh.settle");
-            // Large affected sets settle over the service's worker pool —
-            // the same one parallel queries use — when the session is
-            // configured for parallel evaluation.
-            let pool = (self.eval_threads > 1).then(|| {
-                service.eval_pool().set_threads(self.eval_threads);
-                service.eval_pool()
-            });
+            // Affected sets settle over the service's worker pool — the
+            // same one queries use (serial at one worker).
             for (m, aff) in maints.iter().zip(affected.iter()) {
                 let (added, removed) = m
-                    .settle_with(&mut self.db, aff, pool)
+                    .settle_with(&mut self.db, aff, service.eval_pool())
                     .map_err(SessionError::Query)?;
                 if added + removed > 0 {
                     let name = self.db.class(m.class())?.name.clone();
@@ -800,45 +761,17 @@ impl Session {
     /// maintainers: if un-drained changes are pending, it falls back to a
     /// direct scan (correct, just unassisted) until the next refresh.
     pub fn query(&mut self, parent: ClassId, pred: &Predicate) -> Result<OrderedSet, SessionError> {
-        let obs = isis_obs::global();
-        let _span = obs.span("session.query.answer");
-        if self.policy != RefreshPolicy::Manual {
-            self.refresh_derived()?;
-        }
-        let in_sync = self.service.is_some()
-            && matches!(self.db.changes_since(self.refresh_cursor), Some(cs) if cs.is_empty());
-        if in_sync {
-            let svc = self.service.as_ref().expect("in_sync implies a service");
-            if self.eval_threads > 1 {
-                Ok(isis_query::evaluate_pruned_parallel(
-                    svc,
-                    &self.db,
-                    parent,
-                    pred,
-                    self.eval_threads,
-                )?)
-            } else {
-                Ok(svc.evaluate(&self.db, parent, pred)?)
-            }
-        } else {
-            // The direct scan bypasses the service, so record it there as a
-            // sequential-scan query — before this it vanished from `stats`.
-            if let Some(svc) = self.service.as_ref() {
-                svc.note_unassisted_scan();
-            }
-            obs.count("session.query.unassisted", 1);
-            obs.event("session.query.fallback", || {
-                "pending changes under Manual policy; direct extent scan".to_string()
-            });
-            self.db.validate_predicate(parent, None, pred)?;
-            Ok(self.db.evaluate_derived_members(parent, pred)?)
+        let _span = isis_obs::global().span("session.query.answer");
+        match self.query_route(parent, pred)? {
+            (Some(svc), db) => Ok(svc.evaluate(db, parent, pred)?),
+            (None, db) => Ok(db.evaluate_derived_members(parent, pred)?),
         }
     }
 
     /// Answers the query exactly like [`Session::query`] and additionally
     /// returns the full [`ExplainRecord`](isis_query::ExplainRecord) — the
     /// access path chosen per atom and why, the program-cache outcome,
-    /// plan reuse and pinning, the parallel chunking decision, and
+    /// plan reuse and pinning, the chunking the evaluation ran with, and
     /// per-phase timings. Counters advance identically to a plain query.
     ///
     /// On the unassisted fallback (Manual policy with pending changes)
@@ -850,35 +783,50 @@ impl Session {
     ) -> Result<(OrderedSet, isis_query::ExplainRecord), SessionError> {
         let obs = isis_obs::global();
         let _span = obs.span("session.query.explain");
+        let (svc, db) = self.query_route(parent, pred)?;
+        if let Some(svc) = svc {
+            return Ok(svc.explain(db, parent, pred)?);
+        }
+        let t = std::time::Instant::now();
+        let out = db.evaluate_derived_members(parent, pred)?;
+        let total_ns = t.elapsed().as_nanos() as u64;
+        let scanned = db.class(parent).map(|r| r.members.len()).unwrap_or(0);
+        let record =
+            isis_query::ExplainRecord::unassisted(db, parent, pred, scanned, out.len(), total_ns);
+        obs.flight_event("query.service.explain", || record.to_json());
+        Ok((out, record))
+    }
+
+    /// The routing step [`Session::query`] and [`Session::explain`] share:
+    /// synchronises the refresh pipeline (unless Manual), then returns the
+    /// shared service when its indexes are in sync with the snapshot.
+    /// Otherwise it records the unassisted fallback (counted on the
+    /// service as a sequential-scan query, so `stats` stays honest),
+    /// validates the predicate, and returns no service: the caller scans
+    /// the extent directly.
+    fn query_route(
+        &mut self,
+        parent: ClassId,
+        pred: &Predicate,
+    ) -> Result<(Option<&IndexService>, &Database), SessionError> {
         if self.policy != RefreshPolicy::Manual {
             self.refresh_derived()?;
         }
         let in_sync = self.service.is_some()
             && matches!(self.db.changes_since(self.refresh_cursor), Some(cs) if cs.is_empty());
         if in_sync {
-            let svc = self.service.as_ref().expect("in_sync implies a service");
-            Ok(svc.explain(&self.db, parent, pred)?)
-        } else {
-            if let Some(svc) = self.service.as_ref() {
-                svc.note_unassisted_scan();
-            }
-            obs.count("session.query.unassisted", 1);
-            self.db.validate_predicate(parent, None, pred)?;
-            let t = std::time::Instant::now();
-            let out = self.db.evaluate_derived_members(parent, pred)?;
-            let total_ns = t.elapsed().as_nanos() as u64;
-            let scanned = self.db.class(parent).map(|r| r.members.len()).unwrap_or(0);
-            let record = isis_query::ExplainRecord::unassisted(
-                &self.db,
-                parent,
-                pred,
-                scanned,
-                out.len(),
-                total_ns,
-            );
-            obs.flight_event("query.service.explain", || record.to_json());
-            Ok((out, record))
+            return Ok((self.service.as_ref(), &self.db));
         }
+        if let Some(svc) = self.service.as_ref() {
+            svc.note_unassisted_scan();
+        }
+        let obs = isis_obs::global();
+        obs.count("session.query.unassisted", 1);
+        obs.event("session.query.fallback", || {
+            "pending changes under Manual policy; direct extent scan".to_string()
+        });
+        self.db.validate_predicate(parent, None, pred)?;
+        Ok((None, &self.db))
     }
 
     fn say(&mut self, msg: impl Into<String>) {

@@ -969,6 +969,10 @@ pub fn parse_operator(sym: &str) -> Result<Operator, ReplError> {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that flip the process-wide observability
+    /// switch: one asserts it starts off while another turns it on.
+    static OBS_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn repl() -> Repl {
         let im = isis_sample::instrumental_music().unwrap();
         Repl::new(Session::builder(im.db).build())
@@ -1235,6 +1239,7 @@ mod tests {
 
     #[test]
     fn metrics_and_trace_cover_query_refresh_and_recovery() {
+        let _obs = OBS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let im = isis_sample::instrumental_music().unwrap();
         let root = std::env::temp_dir().join(format!("isis_obs_repl_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -1318,6 +1323,7 @@ mod tests {
 
     #[test]
     fn explain_slowlog_health_and_flight_via_text() {
+        let _obs = OBS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let mut r = repl();
         // Before any refresh: graceful degradation, not errors.
         assert!(r.exec("slowlog").unwrap().contains("no index service"));

@@ -13,7 +13,7 @@
 
 use isis_core::{Atom, Clause, CompareOp, Map, Predicate, Rhs};
 use isis_query::IndexService;
-use isis_sample::instrumental_music;
+use isis_sample::{instrumental_music, synthetic_music, workload, Scale};
 
 fn preds(im: &mut isis_sample::InstrumentalMusic) -> Vec<Predicate> {
     let yes = im.db.boolean(true);
@@ -130,8 +130,60 @@ fn explain_reports_eval_mode_and_column_stats() {
     assert!(rec.to_text().contains("eval: scalar"), "{}", rec.to_text());
 }
 
+/// Runs `pred` once to warm the caches, then once through `evaluate` and
+/// once through `explain`, asserting that both move the `QueryStats`
+/// counters by identical deltas and that the record agrees with them.
+fn explain_matches_evaluate(
+    svc: &IndexService,
+    db: &isis_core::Database,
+    parent: isis_core::ClassId,
+    pred: &Predicate,
+) -> (isis_core::OrderedSet, isis_query::ExplainRecord) {
+    // Warm once so both arms start from the same cache state.
+    svc.evaluate(db, parent, pred).unwrap();
+
+    let s0 = svc.query_stats();
+    let out = svc.evaluate(db, parent, pred).unwrap();
+    let s1 = svc.query_stats();
+    let (explained, record) = svc.explain(db, parent, pred).unwrap();
+    let s2 = svc.query_stats();
+
+    assert_eq!(out.as_slice(), explained.as_slice());
+    let eval_delta = (
+        s1.queries - s0.queries,
+        s1.index_probes - s0.index_probes,
+        s1.grouping_scans - s0.grouping_scans,
+        s1.seq_scans - s0.seq_scans,
+        s1.index_misses - s0.index_misses,
+    );
+    let explain_delta = (
+        s2.queries - s1.queries,
+        s2.index_probes - s1.index_probes,
+        s2.grouping_scans - s1.grouping_scans,
+        s2.seq_scans - s1.seq_scans,
+        s2.index_misses - s1.index_misses,
+    );
+    assert_eq!(
+        eval_delta, explain_delta,
+        "explain must move the counters exactly like evaluate for {pred}"
+    );
+    assert_eq!(eval_delta.0, 1, "each arm counts as one query");
+
+    // The record's own numbers agree with what the counters saw.
+    assert_eq!(record.returned as usize, explained.len());
+    assert_eq!(record.scanned as usize, record.candidates);
+    assert_eq!(record.cache, "hit", "warmed predicate must hit the cache");
+    assert_eq!(
+        record.atoms.len(),
+        pred.clauses.iter().map(|c| c.atoms.len()).sum::<usize>()
+    );
+    (explained, record)
+}
+
 /// `explain` advances the `QueryStats` counters by exactly the same deltas
-/// as the equivalent `evaluate`, and the record agrees with the counters.
+/// as the equivalent `evaluate`, and the record agrees with the counters —
+/// serially, and on a multi-worker service, where the record's chunking
+/// must describe the parallel run that actually happened.
 #[test]
 fn explain_counter_deltas_match_evaluate() {
     let mut im = instrumental_music().unwrap();
@@ -140,44 +192,34 @@ fn explain_counter_deltas_match_evaluate() {
     svc.ensure_index(&im.db, im.plays).unwrap();
 
     for pred in preds(&mut im) {
-        // Warm once so both arms start from the same cache state.
-        svc.evaluate(&im.db, im.musicians, &pred).unwrap();
-
-        let s0 = svc.query_stats();
-        let out = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
-        let s1 = svc.query_stats();
-        let (explained, record) = svc.explain(&im.db, im.musicians, &pred).unwrap();
-        let s2 = svc.query_stats();
-
-        assert_eq!(out.as_slice(), explained.as_slice());
-        let eval_delta = (
-            s1.queries - s0.queries,
-            s1.index_probes - s0.index_probes,
-            s1.grouping_scans - s0.grouping_scans,
-            s1.seq_scans - s0.seq_scans,
-            s1.index_misses - s0.index_misses,
-        );
-        let explain_delta = (
-            s2.queries - s1.queries,
-            s2.index_probes - s1.index_probes,
-            s2.grouping_scans - s1.grouping_scans,
-            s2.seq_scans - s1.seq_scans,
-            s2.index_misses - s1.index_misses,
-        );
-        assert_eq!(
-            eval_delta, explain_delta,
-            "explain must move the counters exactly like evaluate for {pred}"
-        );
-        assert_eq!(eval_delta.0, 1, "each arm counts as one query");
-
-        // The record's own numbers agree with what the counters saw.
-        assert_eq!(record.returned as usize, explained.len());
-        assert_eq!(record.scanned as usize, record.candidates);
-        assert_eq!(record.cache, "hit", "warmed predicate must hit the cache");
+        let (_, record) = explain_matches_evaluate(&svc, &im.db, im.musicians, &pred);
         assert!(record.plan_reused, "no mutations: the plan stays valid");
-        assert_eq!(
-            record.atoms.len(),
-            pred.clauses.iter().map(|c| c.atoms.len()).sum::<usize>()
-        );
     }
+
+    let mut syn = synthetic_music(Scale::of(400), 17).unwrap();
+    let probe = syn.instrument_ids[0];
+    let pred = workload::quartets_query(&mut syn, probe, 4);
+    let serial = IndexService::new(&syn.db)
+        .evaluate(&syn.db, syn.music_groups, &pred)
+        .unwrap();
+    let parallel = IndexService::new(&syn.db);
+    parallel.set_eval_threads(4);
+    let (got, record) = explain_matches_evaluate(&parallel, &syn.db, syn.music_groups, &pred);
+    assert_eq!(got.as_slice(), serial.as_slice());
+    assert_eq!(
+        record.pool_len, None,
+        "no index: every group is a candidate"
+    );
+    assert_eq!(record.threads, 4);
+    assert!(
+        record.chunks.is_some(),
+        "{} candidates over 4 workers must be chunked: {}",
+        record.candidates,
+        record.to_text()
+    );
+    assert_eq!(
+        parallel.eval_pool_threads(),
+        Some(4),
+        "the chunks really ran"
+    );
 }

@@ -113,9 +113,9 @@ proptest! {
                     // Parent for shape 1 is instruments (family lives
                     // there); everything else queries musicians.
                     let parent = if i % 4 == 1 { parents[1] } else { parents[0] };
-                    let cached = cache.with_program(
+                    let cached = cache.with_plan(
                         &im.db, parent, None, &pred, None,
-                        |prog| prog.evaluate_extent(&im.db, parent),
+                        |prog, _| prog.evaluate_extent(&im.db, parent),
                     );
                     let fresh = PredicateProgram::compile(&im.db, parent, &pred)
                         .map(|p| p.evaluate_extent(&im.db, parent))

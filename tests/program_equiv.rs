@@ -5,15 +5,13 @@
 //! the same order when evaluation succeeds, and the same first error when
 //! it fails (ordering atoms over non-literal or non-singleton sets). The
 //! parallel battery repeats the check over randomized synthetic schemas
-//! through the persistent-pool and spawn-per-call evaluators, and a third
+//! through the index service's multi-worker evaluation (a cold call and a
+//! cached-program repeat), and a third
 //! battery pins the source-entity (`x`) atom semantics used by derived
 //! attributes.
 
 use isis::prelude::*;
-use isis_query::{
-    evaluate_derived_members_parallel, evaluate_derived_members_spawn, MemoTable, PredicateProgram,
-    QueryError,
-};
+use isis_query::{IndexService, MemoTable, PredicateProgram, QueryError};
 use isis_sample::{instrumental_music, synthetic_music, Scale};
 use proptest::prelude::*;
 
@@ -339,10 +337,11 @@ proptest! {
 
         let interp = s.db.evaluate_derived_members(s.music_groups, &pred);
         check_serial(&s.db, s.music_groups, &pred);
-        let cache = isis_query::ProgramCache::new();
+        let svc = IndexService::new(&s.db);
+        svc.set_eval_threads(threads);
         for run in [
-            evaluate_derived_members_parallel(&cache, &s.db, s.music_groups, &pred, threads),
-            evaluate_derived_members_spawn(&cache, &s.db, s.music_groups, &pred, threads),
+            svc.evaluate(&s.db, s.music_groups, &pred),
+            svc.evaluate(&s.db, s.music_groups, &pred),
         ] {
             match (&interp, run) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a.as_slice(), b.as_slice()),

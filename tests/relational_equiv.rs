@@ -7,7 +7,7 @@
 //! full power of relational algebra".
 
 use isis::prelude::*;
-use isis_query::{compile_and_eval, optimize, IndexedEvaluator};
+use isis_query::{compile_and_eval, optimize, IndexService};
 use isis_sample::instrumental_music;
 use proptest::prelude::*;
 
@@ -137,9 +137,9 @@ proptest! {
         prop_assert_eq!(&ra, &reference, "RA disagrees for {}", pred);
 
         // 3. Index-pruned evaluation.
-        let mut indexed = IndexedEvaluator::new();
-        indexed.add_index(&im.db, im.plays).unwrap();
-        indexed.add_index(&im.db, im.union_attr).unwrap();
+        let mut indexed = IndexService::new(&im.db);
+        indexed.ensure_index(&im.db, im.plays).unwrap();
+        indexed.ensure_index(&im.db, im.union_attr).unwrap();
         let mut idx: Vec<EntityId> = indexed
             .evaluate(&im.db, im.musicians, &pred)
             .unwrap()
@@ -149,7 +149,7 @@ proptest! {
         prop_assert_eq!(&idx, &reference, "indexed disagrees for {}", pred);
 
         // 4. Optimizer-reordered predicate.
-        let (opt, _) = optimize(&im.db, im.musicians, &pred, Some(indexed.service())).unwrap();
+        let (opt, _) = optimize(&im.db, im.musicians, &pred, Some(&indexed)).unwrap();
         let mut o: Vec<EntityId> = im
             .db
             .evaluate_derived_members(im.musicians, &opt)

@@ -7,7 +7,7 @@
 //! contract (pure hit, data-only re-hoist, schema-edit recompile).
 
 use isis::prelude::*;
-use isis_query::{IndexService, PredicateProgram};
+use isis_query::{IndexService, PredicateProgram, QueryError};
 use isis_sample::workload::navigation_chain;
 use isis_sample::{synthetic_scaled, ScaledMusic, SchemaShape, SynthSpec, ValueDist};
 
@@ -65,10 +65,14 @@ fn check_arms(
     if !deep {
         return;
     }
-    let interp = db.evaluate_derived_members(parent, pred);
+    // The service reports errors as `QueryError`; lift the core errors so
+    // first-error identity is compared variant for variant.
+    let interp = db
+        .evaluate_derived_members(parent, pred)
+        .map_err(QueryError::Core);
     let compiled = PredicateProgram::compile(db, parent, pred)
-        .map(|p| p.evaluate_extent(db, parent))
-        .and_then(|r| r);
+        .and_then(|p| p.evaluate_extent(db, parent))
+        .map_err(QueryError::Core);
     match (&cached, &interp) {
         (Ok(a), Ok(b)) => assert_eq!(a.as_slice(), b.as_slice(), "cached != interpreted: {pred}"),
         (Err(ea), Err(eb)) => assert_eq!(ea, eb, "cached/interpreted errors differ: {pred}"),

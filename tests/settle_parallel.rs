@@ -6,7 +6,9 @@
 //! order, same `(added, removed)` counts — as the serial settle over the
 //! same affected set. And when a worker panics mid-shard, the panic must
 //! surface as [`QueryError::WorkerPanic`] with **no** membership writes
-//! applied (the two-phase contract: evaluation fully precedes writes).
+//! applied (the two-phase contract: evaluation fully precedes writes). A
+//! multi-worker `IndexService::evaluate` runs the same body and must
+//! surface the same panic.
 //!
 //! The panic hook (`test_hooks::PANIC_ON_ENTITY`) is a process-global
 //! static, so everything here lives in one `#[test]` function, run
@@ -16,7 +18,7 @@ use std::sync::atomic::Ordering;
 
 use isis::prelude::*;
 use isis_query::parallel::test_hooks;
-use isis_query::{DerivedMaintainer, EvalPool, QueryError};
+use isis_query::{DerivedMaintainer, EvalPool, IndexService, QueryError};
 use isis_sample::{synthetic_scaled, SchemaShape, SynthSpec, ValueDist};
 
 const SEED: u64 = 0x5E771E;
@@ -51,7 +53,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
         g.s.db
             .create_derived_subclass(g.s.musicians, "settle_target")
             .unwrap();
-    g.s.db.commit_membership(derived, pred).unwrap();
+    g.s.db.commit_membership(derived, pred.clone()).unwrap();
 
     let affected: OrderedSet = g.s.musician_ids.iter().copied().collect();
     let pool = EvalPool::new(2);
@@ -72,7 +74,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
 
     let serial_counts = maint_serial.settle(&mut db_serial, &affected).unwrap();
     let pool_counts = maint_pool
-        .settle_with(&mut db_pool, &affected, Some(&pool))
+        .settle_with(&mut db_pool, &affected, &pool)
         .unwrap();
     assert_eq!(serial_counts, pool_counts, "(added, removed) must match");
     assert!(
@@ -94,7 +96,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     );
     assert_eq!(
         maint_pool
-            .settle_with(&mut db_pool, &affected, Some(&pool))
+            .settle_with(&mut db_pool, &affected, &pool)
             .unwrap(),
         (0, 0)
     );
@@ -110,8 +112,17 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     let members_before = db_pool.members(derived).unwrap().clone();
     let trap = g.s.musician_ids[g.s.musician_ids.len() / 2];
     test_hooks::PANIC_ON_ENTITY.store(trap.raw(), Ordering::SeqCst);
-    let res = maint_pool.settle_with(&mut db_pool, &affected, Some(&pool));
+    let res = maint_pool.settle_with(&mut db_pool, &affected, &pool);
+    // Queries run the same body: a multi-worker service surfaces the same
+    // contained panic instead of an answer.
+    let svc = IndexService::new(&db_pool);
+    svc.set_eval_threads(2);
+    let query = svc.evaluate(&db_pool, g.s.musicians, &pred);
     test_hooks::PANIC_ON_ENTITY.store(u32::MAX, Ordering::SeqCst);
+    assert!(
+        matches!(query, Err(QueryError::WorkerPanic(ref m)) if m.contains("injected worker fault")),
+        "a worker panic must surface from IndexService::evaluate: {query:?}"
+    );
     match res {
         Err(QueryError::WorkerPanic(msg)) => {
             assert!(
@@ -128,7 +139,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
 
     // With the hook disarmed the same settle succeeds and writes.
     let (added, removed) = maint_pool
-        .settle_with(&mut db_pool, &affected, Some(&pool))
+        .settle_with(&mut db_pool, &affected, &pool)
         .unwrap();
     assert!(added + removed > 0, "recovery settle must apply the writes");
 }
