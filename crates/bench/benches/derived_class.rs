@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isis_bench::fixture;
-use isis_core::{Database, EntityId, OrderedSet};
-use isis_query::DerivedMaintainer;
+use isis_core::{ClassId, Database, EntityId, OrderedSet};
+use isis_query::{DerivedMaintainer, IndexService};
 
 fn commit_vs_incremental(c: &mut Criterion) {
     let mut g = c.benchmark_group("derived_class");
@@ -27,7 +27,7 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 b.iter(|| db.clone().refresh_derived_class(quartets).unwrap())
             });
         }
-        // Incremental: one musician's plays changed.
+        // The full delta pipeline: read the change log, run the round.
         {
             let f = fixture(n);
             let mut db = f.s.db.clone();
@@ -35,39 +35,17 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 .create_derived_subclass(f.s.music_groups, "bench_quartets")
                 .unwrap();
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
-            let maint = DerivedMaintainer::new(&db, quartets).unwrap();
-            let target = f.s.musician_ids[1];
-            let owners: OrderedSet = [target].into_iter().collect();
-            // The maintainer mutates; clone per iteration like the refresh
-            // arm so both measure (clone + maintain).
-            g.bench_with_input(BenchmarkId::new("incremental_one_change", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut db2 = db.clone();
-                    db2.add_value(target, f.s.plays, f.probe_instrument)
-                        .unwrap();
-                    // Rebuild-free application against the prepared indexes.
-                    let mut m = DerivedMaintainer::new(&db2, quartets).unwrap();
-                    m.apply_attr_change(&mut db2, f.s.plays, &owners).unwrap()
-                })
-            });
-            let _ = maint;
-        }
-        // The full delta pipeline: read the change log, apply it.
-        {
-            let f = fixture(n);
-            let mut db = f.s.db.clone();
-            let quartets = db
-                .create_derived_subclass(f.s.music_groups, "bench_quartets")
-                .unwrap();
-            db.commit_membership(quartets, f.quartets.clone()).unwrap();
-            let mut maint = DerivedMaintainer::new(&db, quartets).unwrap();
+            let (maints, mut service) = maintained(&db, quartets);
             let mut toggle = PlaysToggle::new(&db, &f, f.s.musician_ids[1]);
             let mut cursor = db.delta_epoch();
             g.bench_with_input(BenchmarkId::new("delta_pipeline", n), &n, |b, _| {
                 b.iter(|| {
                     toggle.flip(&mut db);
                     let cs = db.changes_since(cursor).expect("window live");
-                    let out = maint.apply_changes(&mut db, &cs).unwrap();
+                    let out = DerivedMaintainer::apply_round(&maints, &mut db, &mut service, &cs)
+                        .unwrap();
+                    // Skips the echo window: membership writes to the
+                    // derived class touch no indexed attribute.
                     cursor = db.delta_epoch();
                     out
                 })
@@ -81,14 +59,28 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 .create_derived_subclass(f.s.music_groups, "bench_quartets")
                 .unwrap();
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
-            let maint = DerivedMaintainer::new(&db, quartets).unwrap();
-            let owners: OrderedSet = [f.s.musician_ids[1]].into_iter().collect();
+            let (maints, service) = maintained(&db, quartets);
+            let mark = db.delta_epoch();
+            PlaysToggle::new(&db, &f, f.s.musician_ids[1]).flip(&mut db);
+            let cs = db.changes_since(mark).expect("window live");
             g.bench_with_input(BenchmarkId::new("affected_candidates", n), &n, |b, _| {
-                b.iter(|| maint.affected_candidates(&db, f.s.plays, &owners).unwrap())
+                b.iter(|| maints[0].collect_affected(&db, &service, &cs).unwrap())
             });
         }
     }
     g.finish();
+}
+
+/// One maintainer for `class` and a service indexing what it walks,
+/// synchronised to `db`'s current epoch.
+fn maintained(db: &Database, class: ClassId) -> (Vec<DerivedMaintainer>, IndexService) {
+    let maints = vec![DerivedMaintainer::new(db, class).unwrap()];
+    let mut service = IndexService::new(db);
+    for &attr in maints[0].used_attrs() {
+        service.ensure_index(db, attr).unwrap();
+    }
+    service.set_cursor(db);
+    (maints, service)
 }
 
 /// A repeatable point update: one musician alternately gains and loses one
@@ -130,7 +122,7 @@ impl PlaysToggle {
 }
 
 /// Experiment E-2b: the headline comparison for the delta-refresh pipeline.
-/// Full re-evaluation vs `changes_since` + `apply_changes` after a single
+/// Full re-evaluation vs `changes_since` + `apply_round` after a single
 /// point update, at a 10k-entity scale, written to `out/derived_refresh.md`
 /// and (machine-readable) `out/bench_derived_class.json`.
 fn refresh_report(c: &mut Criterion) {
@@ -160,15 +152,16 @@ fn refresh_report(c: &mut Criterion) {
         full_total += t.elapsed();
     }
 
-    // Delta refresh: steady-state maintainer consuming the change log.
-    let mut maint = DerivedMaintainer::new(&db, quartets).unwrap();
+    // Delta refresh: steady-state round over a shared service consuming
+    // the change log.
+    let (maints, mut service) = maintained(&db, quartets);
     let mut cursor = db.delta_epoch();
     let mut delta_total = Duration::ZERO;
     for _ in 0..delta_iters {
         toggle.flip(&mut db);
         let t = Instant::now();
         let cs = db.changes_since(cursor).expect("window live");
-        maint.apply_changes(&mut db, &cs).unwrap();
+        DerivedMaintainer::apply_round(&maints, &mut db, &mut service, &cs).unwrap();
         delta_total += t.elapsed();
         cursor = db.delta_epoch();
     }
@@ -199,7 +192,7 @@ fn refresh_report(c: &mut Criterion) {
          | mode | database | mean per update |\n\
          | --- | --- | --- |\n\
          | full `refresh_derived_class` | {entities} entities ({n} musicians) | {full_us:.1} µs |\n\
-         | delta `changes_since` + `apply_changes` | {entities} entities ({n} musicians) | {delta_us:.1} µs |\n\n\
+         | delta `changes_since` + `apply_round` | {entities} entities ({n} musicians) | {delta_us:.1} µs |\n\n\
          **Speedup: {speedup:.1}×** (iterations: {full_iters} full, {delta_iters} delta{}).\n",
         if smoke { "; smoke run under `--test`" } else { "" }
     );

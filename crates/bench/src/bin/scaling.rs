@@ -235,15 +235,16 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
             .collect();
     // Converge first so both arms measure pure re-evaluation with no
     // membership writes (identical work per arm).
-    maint.settle(&mut g.s.db, &affected).unwrap();
+    let serial = EvalPool::new(1);
+    maint.settle(&mut g.s.db, &affected, &serial).unwrap();
     let settle_serial_ns = time_rounds(cfg.settle_rounds, || {
-        let (a, r) = maint.settle(&mut g.s.db, &affected).unwrap();
+        let (a, r) = maint.settle(&mut g.s.db, &affected, &serial).unwrap();
         assert_eq!((a, r), (0, 0));
     });
     let pool = EvalPool::new(threads);
     let members_before = g.s.db.members(derived).unwrap().clone();
     let settle_pool_ns = time_rounds(cfg.settle_rounds, || {
-        let (a, r) = maint.settle_with(&mut g.s.db, &affected, &pool).unwrap();
+        let (a, r) = maint.settle(&mut g.s.db, &affected, &pool).unwrap();
         assert_eq!((a, r), (0, 0));
     });
     assert!(
@@ -270,8 +271,13 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         );
 
     // --- Delta-driven refresh rounds: a burst of plays reassignments,
-    // then one incremental apply (collect → index patch → settle).
-    let mut maint = maint;
+    // then one round (collect → shared index drain → collect → settle).
+    let maints = [maint];
+    let mut service = IndexService::new(&g.s.db);
+    for &attr in maints[0].used_attrs() {
+        service.ensure_index(&g.s.db, attr).unwrap();
+    }
+    service.set_cursor(&g.s.db);
     let burst = 100.min(g.s.musician_ids.len());
     let mut cursor = 0usize;
     let refresh_ns = time_rounds(cfg.refresh_rounds, || {
@@ -283,7 +289,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         }
         cursor += burst;
         let changes = g.s.db.changes_since(mark).expect("window fits the log");
-        maint.apply_changes(&mut g.s.db, &changes).unwrap();
+        DerivedMaintainer::apply_round(&maints, &mut g.s.db, &mut service, &changes).unwrap();
     });
     eprintln!(
         "   refresh round ({burst} reassignments): {:.2}ms",

@@ -6,8 +6,13 @@
 //! commit. This module implements the natural extension: after a change to
 //! attribute `A` of some entities, recompute the predicate *only for the
 //! candidates the change can affect* — found by locating `A` inside the
-//! predicate's maps and walking the prefix steps backwards through inverted
-//! indexes.
+//! predicate's maps and walking the prefix steps backwards through the
+//! inverted indexes of the shared [`IndexService`].
+//!
+//! [`DerivedMaintainer::apply_round`] is the one delta round: every
+//! maintainer collects against the pre-state indexes, the service drains
+//! the window once, every maintainer collects again against the post-state
+//! indexes, and each settles on the service's [`EvalPool`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -18,27 +23,13 @@ use isis_core::{
 };
 
 use crate::error::QueryError;
-use crate::index::IndexLookup;
-use crate::manager::IndexManager;
 use crate::parallel::EvalPool;
-use crate::program::{MemoTable, PredicateProgram};
+use crate::program::PredicateProgram;
+use crate::service::IndexService;
 
-/// Maintains one derived subclass incrementally.
-///
-/// Two modes of operation:
-///
-/// * **standalone** — the maintainer owns a private [`IndexManager`] over
-///   the attributes its predicate uses, and [`apply_changes`] /
-///   [`apply_attr_change`] both maintain those indexes and settle
-///   membership;
-/// * **shared** — a coordinator (the session) owns one
-///   [`crate::IndexService`] for every consumer, drains the delta log once
-///   per round, and drives each maintainer through
-///   [`collect_affected`](DerivedMaintainer::collect_affected) (before and
-///   after the shared drain) and [`settle`](DerivedMaintainer::settle).
-///
-/// [`apply_changes`]: DerivedMaintainer::apply_changes
-/// [`apply_attr_change`]: DerivedMaintainer::apply_attr_change
+/// Maintains one derived subclass incrementally. Holds no index: every
+/// walk-back reads the [`IndexService`] the caller passes in, which must
+/// index [`used_attrs`](DerivedMaintainer::used_attrs).
 #[derive(Debug)]
 pub struct DerivedMaintainer {
     class: ClassId,
@@ -50,21 +41,16 @@ pub struct DerivedMaintainer {
     /// transition of the base re-partitions the grouping and silently
     /// changes the expansion of every stored value of the dependents.
     grouping_bases: HashMap<AttrId, Vec<AttrId>>,
-    /// Private inverted indexes for standalone operation.
-    indexes: IndexManager,
-    /// The predicate compiled once per (re)build and shared by every
-    /// re-evaluation ([`settle`], [`apply_membership_change`]); mapped
+    /// The predicate compiled once and shared by every [`settle`]; mapped
     /// constant images are re-hoisted lazily when the delta epoch moves
     /// (`RefCell`: settle takes `&self`).
     ///
     /// [`settle`]: DerivedMaintainer::settle
-    /// [`apply_membership_change`]: DerivedMaintainer::apply_membership_change
     program: RefCell<PredicateProgram>,
 }
 
 impl DerivedMaintainer {
-    /// Creates a maintainer for a committed derived subclass, building the
-    /// inverted indexes its maps require.
+    /// Creates a maintainer for a committed derived subclass.
     pub fn new(db: &Database, class: ClassId) -> Result<Self> {
         let rec = db.class(class)?;
         let parent = rec
@@ -77,10 +63,6 @@ impl DerivedMaintainer {
             .ok_or(isis_core::CoreError::DerivedClass(class))?;
         let used = Self::attrs_used(&pred);
         let grouping_bases = Self::find_grouping_bases(db, &used)?;
-        let mut indexes = IndexManager::new(db);
-        for &attr in &used {
-            indexes.add_index(db, attr)?;
-        }
         let program = RefCell::new(PredicateProgram::compile(db, parent, &pred)?);
         Ok(DerivedMaintainer {
             class,
@@ -88,7 +70,6 @@ impl DerivedMaintainer {
             pred,
             used,
             grouping_bases,
-            indexes,
             program,
         })
     }
@@ -138,29 +119,17 @@ impl DerivedMaintainer {
         self.used.contains(&attr)
     }
 
-    /// Candidates (members of the parent class) whose predicate result may
-    /// change after attribute `attr` of the `owners` entities was modified,
-    /// walked through the maintainer's private indexes.
-    pub fn affected_candidates(
-        &self,
-        db: &Database,
-        attr: AttrId,
-        owners: &OrderedSet,
-    ) -> Result<OrderedSet> {
-        self.affected_candidates_in(db, &self.indexes, attr, owners)
-    }
-
     /// Candidates whose predicate result may change after attribute `attr`
-    /// of the `owners` entities was modified, walked through `indexes`
-    /// (private or shared).
+    /// of the `owners` entities was modified.
     ///
     /// For every occurrence of `attr` at position *i* of a predicate map,
     /// the owners are walked backwards through the *i* prefix steps via the
-    /// inverted indexes; survivors that are parent members are affected.
-    pub fn affected_candidates_in(
+    /// service's inverted indexes; survivors that are parent members are
+    /// affected.
+    fn affected_by(
         &self,
         db: &Database,
-        indexes: &dyn IndexLookup,
+        service: &IndexService,
         attr: AttrId,
         owners: &OrderedSet,
     ) -> Result<OrderedSet> {
@@ -172,14 +141,14 @@ impl DerivedMaintainer {
         for atom in self.pred.atoms() {
             self.walk_back(
                 &atom.lhs,
-                indexes,
+                service,
                 attr,
                 owners,
                 parent_members,
                 &mut affected,
             );
             if let Rhs::SelfMap(m) = &atom.rhs {
-                self.walk_back(m, indexes, attr, owners, parent_members, &mut affected);
+                self.walk_back(m, service, attr, owners, parent_members, &mut affected);
             }
         }
         Ok(affected)
@@ -188,7 +157,7 @@ impl DerivedMaintainer {
     fn walk_back(
         &self,
         map: &Map,
-        indexes: &dyn IndexLookup,
+        service: &IndexService,
         attr: AttrId,
         owners: &OrderedSet,
         parent_members: &OrderedSet,
@@ -203,7 +172,7 @@ impl DerivedMaintainer {
             let mut frontier = owners.clone();
             for &prev_attr in steps[..i].iter().rev() {
                 let mut prev = OrderedSet::new();
-                if let Some(idx) = indexes.index_for(prev_attr) {
+                if let Some(idx) = service.index(prev_attr) {
                     for v in frontier.iter() {
                         if let Some(os) = idx.owners_of(v) {
                             prev.extend_from(os);
@@ -231,7 +200,7 @@ impl DerivedMaintainer {
     fn base_shift_affected(
         &self,
         db: &Database,
-        indexes: &dyn IndexLookup,
+        service: &IndexService,
         base: AttrId,
     ) -> Result<OrderedSet> {
         let mut affected = OrderedSet::new();
@@ -239,10 +208,10 @@ impl DerivedMaintainer {
             return Ok(affected);
         };
         for &x in dependents {
-            match indexes.index_for(x) {
+            match service.index(x) {
                 Some(idx) => {
                     let owners = idx.all_owners();
-                    affected.extend_from(&self.affected_candidates_in(db, indexes, x, &owners)?);
+                    affected.extend_from(&self.affected_by(db, service, x, &owners)?);
                 }
                 // No index to bound the blast radius: conservatively
                 // re-evaluate the whole parent extent.
@@ -252,37 +221,14 @@ impl DerivedMaintainer {
         Ok(affected)
     }
 
-    /// Notifies the maintainer that attribute `attr` of the `owners`
-    /// entities changed: refreshes the affected inverted index postings,
-    /// re-evaluates the predicate for affected candidates only, and adds /
-    /// removes membership as needed. Returns `(added, removed)` counts.
-    pub fn apply_attr_change(
-        &mut self,
-        db: &mut Database,
-        attr: AttrId,
-        owners: &OrderedSet,
-    ) -> Result<(usize, usize)> {
-        // Affected candidates are computed against the *old* index state
-        // first, then again against the new one: an owner that left a
-        // posting list must still trigger re-evaluation of the candidates
-        // that used to reach it. A change to a grouping's base attribute
-        // additionally touches every owner of the dependent ranged indexes.
-        let mut affected = self.affected_candidates(db, attr, owners)?;
-        affected.extend_from(&self.base_shift_affected(db, &self.indexes, attr)?);
-        self.indexes.refresh_owners(db, attr, owners)?;
-        affected.extend_from(&self.affected_candidates(db, attr, owners)?);
-        affected.extend_from(&self.base_shift_affected(db, &self.indexes, attr)?);
-        self.settle(db, &affected)
-    }
-
     /// Collects every candidate a change window can affect, walking the
-    /// given `indexes` (which must still describe the *start* of the
+    /// `service` indexes (which must still describe the *start* of the
     /// window; call again after the index drain for the end state).
     /// Read-only: does not touch indexes or membership.
     pub fn collect_affected(
         &self,
         db: &Database,
-        indexes: &dyn IndexLookup,
+        service: &IndexService,
         changes: &ChangeSet,
     ) -> Result<OrderedSet> {
         let _span = isis_obs::global().span("query.incremental.collect");
@@ -292,11 +238,9 @@ impl DerivedMaintainer {
                 Change::AttrAssigned { entity, attr, .. } => {
                     if self.depends_on(*attr) {
                         let owners: OrderedSet = [*entity].into_iter().collect();
-                        affected.extend_from(
-                            &self.affected_candidates_in(db, indexes, *attr, &owners)?,
-                        );
+                        affected.extend_from(&self.affected_by(db, service, *attr, &owners)?);
                     }
-                    affected.extend_from(&self.base_shift_affected(db, indexes, *attr)?);
+                    affected.extend_from(&self.base_shift_affected(db, service, *attr)?);
                 }
                 Change::MembershipAdded { entity, class }
                 | Change::MembershipRemoved { entity, class } => {
@@ -316,28 +260,10 @@ impl DerivedMaintainer {
     }
 
     /// Re-evaluates the predicate for the `affected` candidates and adds /
-    /// removes membership as needed. Returns `(added, removed)` counts.
-    ///
-    /// Serial convenience wrapper over
-    /// [`settle_with`](DerivedMaintainer::settle_with) for standalone
-    /// callers (a one-worker pool never spawns); the session passes the
-    /// shared service's pool instead.
-    pub fn settle(&self, db: &mut Database, affected: &OrderedSet) -> Result<(usize, usize)> {
-        self.settle_with(db, affected, &EvalPool::default())
-            .map_err(|e| match e {
-                QueryError::Core(c) => c,
-                // The serial path never crosses a worker, so a panic error is
-                // unreachable; fold any other variant into a core report
-                // rather than dropping it.
-                other => isis_core::CoreError::Inconsistent(other.to_string()),
-            })
-    }
-
-    /// Re-evaluates the predicate for the `affected` candidates and adds /
     /// removes membership as needed, evaluating over `pool`'s workers when
-    /// the affected set is large enough to chunk (the session hands in the
-    /// [`crate::IndexService`]'s pool so refresh rounds and queries share
-    /// workers). Returns `(added, removed)`.
+    /// the affected set is large enough to chunk (a refresh round hands in
+    /// the [`IndexService`]'s pool so rounds and queries share workers; a
+    /// one-worker pool never spawns). Returns `(added, removed)`.
     ///
     /// Two phases: every live affected candidate is evaluated first (no
     /// writes), then membership writes run serially in affected order, so
@@ -346,7 +272,7 @@ impl DerivedMaintainer {
     /// writes can't change attribute values or parent extents, so the
     /// phase-1 results stay valid through phase 2. Worker panics surface as
     /// [`QueryError::WorkerPanic`].
-    pub fn settle_with(
+    pub fn settle(
         &self,
         db: &mut Database,
         affected: &OrderedSet,
@@ -400,117 +326,134 @@ impl DerivedMaintainer {
         Ok((added, removed))
     }
 
-    /// Consumes a [`ChangeSet`] from the core delta log, re-evaluating the
-    /// predicate only for candidates the recorded changes can affect.
-    /// Returns `(added, removed)` membership counts. Falls back to
-    /// [`DerivedMaintainer::rebuild`] when the set contains schema edits.
+    /// The one delta round over a change window, with a single shared
+    /// index drain: every maintainer collects its affected candidates
+    /// against the *pre-state* indexes (an owner leaving a posting list
+    /// must still re-evaluate whoever used to reach it), `service` consumes
+    /// the window once, every maintainer collects again against the
+    /// post-state indexes, and each settles on the service's pool.
     ///
-    /// The set must describe the transition from the state the maintainer
-    /// last saw to `db`'s current state (e.g. `db.changes_since(epoch)`).
-    pub fn apply_changes(
-        &mut self,
+    /// `changes` must describe the transition from the state `service`'s
+    /// indexes reflect to `db`'s (e.g. `db.changes_since(cursor)`), and
+    /// `service` must index every maintainer's
+    /// [`used_attrs`](DerivedMaintainer::used_attrs). Returns each
+    /// maintainer's `(added, removed)` counts, in `maints` order.
+    ///
+    /// A window with schema edits is refused with
+    /// [`QueryError::Unsupported`]: it may have replaced a predicate or an
+    /// indexed attribute, so the caller rebuilds the maintainers and the
+    /// service instead (the session's full refresh).
+    pub fn apply_round(
+        maints: &[DerivedMaintainer],
         db: &mut Database,
+        service: &mut IndexService,
         changes: &ChangeSet,
-    ) -> Result<(usize, usize)> {
+    ) -> Result<Vec<(usize, usize)>, QueryError> {
         if changes.has_schema_changes() {
-            return self.rebuild(db);
+            return Err(QueryError::Unsupported(
+                "a delta round cannot consume schema edits; rebuild the maintainers".into(),
+            ));
         }
-        // Candidates reached through the *old* postings (an owner leaving a
-        // posting list must still re-evaluate whoever used to reach it) …
-        let mut affected = self.collect_affected(db, &self.indexes, changes)?;
-        // … then drain the window into the private indexes …
-        self.indexes.apply(db, changes)?;
-        // … and collect again through the new postings.
-        affected.extend_from(&self.collect_affected(db, &self.indexes, changes)?);
-        self.settle(db, &affected)
-    }
-
-    /// Full fallback: re-reads the stored predicate (a schema edit may have
-    /// replaced it), rebuilds every inverted index, and re-evaluates the
-    /// whole parent extent via [`Database::refresh_derived_class`].
-    pub fn rebuild(&mut self, db: &mut Database) -> Result<(usize, usize)> {
+        // The phase spans keep the `session.refresh.*` names: this round is
+        // the session's refresh, and `trace dump` readers key on them.
         let obs = isis_obs::global();
-        let _span = obs.span("query.incremental.rebuild");
-        obs.count("query.incremental.rebuilds", 1);
-        let rec = db.class(self.class)?;
-        self.parent = rec
-            .parent
-            .ok_or(isis_core::CoreError::DerivedClass(self.class))?;
-        self.pred = rec
-            .kind
-            .predicate()
-            .cloned()
-            .ok_or(isis_core::CoreError::DerivedClass(self.class))?;
-        let before = db.members(self.class)?.clone();
-        db.refresh_derived_class(self.class)?;
-        let after = db.members(self.class)?;
-        let added = after.iter().filter(|e| !before.contains(*e)).count();
-        let removed = before.iter().filter(|e| !after.contains(*e)).count();
-        self.used = Self::attrs_used(&self.pred);
-        self.grouping_bases = Self::find_grouping_bases(db, &self.used)?;
-        self.indexes = IndexManager::new(db);
-        for &attr in &self.used {
-            self.indexes.add_index(db, attr)?;
+        let mut affected: Vec<OrderedSet> = Vec::with_capacity(maints.len());
+        {
+            let _collect = obs.span("session.refresh.collect");
+            for m in maints {
+                affected.push(m.collect_affected(db, service, changes)?);
+            }
         }
-        // A schema edit may have replaced the predicate: recompile.
-        *self.program.borrow_mut() = PredicateProgram::compile(db, self.parent, &self.pred)?;
-        Ok((added, removed))
-    }
-
-    /// Handles an entity joining or leaving the *parent* class: the entity
-    /// itself is (re)evaluated.
-    pub fn apply_membership_change(
-        &mut self,
-        db: &mut Database,
-        entity: EntityId,
-    ) -> Result<(usize, usize)> {
-        let mut added = 0;
-        let mut removed = 0;
-        let in_parent = db.members(self.parent)?.contains(entity);
-        let is = db.members(self.class)?.contains(entity);
-        let mut prog = self.program.borrow_mut();
-        prog.ensure_fresh(db)?;
-        let mut memo = MemoTable::new(&prog);
-        let should = in_parent && prog.eval_for(db, entity, None, &mut memo)?;
-        if should && !is {
-            db.force_membership(entity, self.class)?;
-            added += 1;
-        } else if !should && is {
-            db.remove_from_class(entity, self.class)?;
-            removed += 1;
+        // The one drain: the maintainers and the ad-hoc query planner both
+        // read these indexes afterwards.
+        {
+            let _apply = obs.span("session.refresh.apply");
+            service.apply(db, changes)?;
         }
-        Ok((added, removed))
+        {
+            let _collect = obs.span("session.refresh.collect");
+            for (m, aff) in maints.iter().zip(affected.iter_mut()) {
+                aff.extend_from(&m.collect_affected(db, service, changes)?);
+            }
+        }
+        let _settle = obs.span("session.refresh.settle");
+        maints
+            .iter()
+            .zip(&affected)
+            .map(|(m, aff)| m.settle(db, aff, service.eval_pool()))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isis_sample::{instrumental_music, quartets_predicate};
+    use isis_sample::{instrumental_music, quartets_predicate, InstrumentalMusic};
 
-    #[test]
-    fn maintainer_tracks_membership_changes() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
+    /// A service indexing every attribute the maintainers walk,
+    /// synchronised to `db`'s current epoch.
+    fn service_for(db: &Database, maints: &[DerivedMaintainer]) -> IndexService {
+        let mut service = IndexService::new(db);
+        for m in maints {
+            for &attr in m.used_attrs() {
+                service.ensure_index(db, attr).unwrap();
+            }
+        }
+        service.set_cursor(db);
+        service
+    }
+
+    /// Commits the §4.2 quartets query; returns the class, its predicate,
+    /// one maintainer and a service over it.
+    fn quartets(
+        im: &mut InstrumentalMusic,
+    ) -> (ClassId, Predicate, Vec<DerivedMaintainer>, IndexService) {
+        let pred = quartets_predicate(im);
         let quartets = im
             .db
             .create_derived_subclass(im.music_groups, "quartets")
             .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        assert!(maint.depends_on(im.size));
-        assert!(maint.depends_on(im.members));
-        assert!(maint.depends_on(im.plays));
-        assert!(!maint.depends_on(im.family));
+        im.db.commit_membership(quartets, pred.clone()).unwrap();
+        let maints = vec![DerivedMaintainer::new(&im.db, quartets).unwrap()];
+        let service = service_for(&im.db, &maints);
+        (quartets, pred, maints, service)
+    }
+
+    /// Runs one round over everything recorded since `mark`, then moves
+    /// `mark` past the window (the round's own membership writes land in
+    /// the next window as echoes).
+    fn round(
+        db: &mut Database,
+        maints: &[DerivedMaintainer],
+        service: &mut IndexService,
+        mark: &mut u64,
+    ) -> Vec<(usize, usize)> {
+        let changes = db.changes_since(*mark).unwrap();
+        *mark = db.delta_epoch();
+        DerivedMaintainer::apply_round(maints, db, service, &changes).unwrap()
+    }
+
+    fn assert_matches_full(db: &Database, class: ClassId, parent: ClassId, pred: &Predicate) {
+        let got = db.members(class).unwrap();
+        let want = db.evaluate_derived_members(parent, pred).unwrap();
+        assert!(got.set_eq(&want), "delta {got:?} != full {want:?}");
+    }
+
+    #[test]
+    fn maintainer_tracks_membership_changes() {
+        let mut im = instrumental_music().unwrap();
+        let (quartets, _, maints, mut service) = quartets(&mut im);
+        assert!(maints[0].depends_on(im.size));
+        assert!(maints[0].depends_on(im.members));
+        assert!(maints[0].depends_on(im.plays));
+        assert!(!maints[0].depends_on(im.family));
+        let mut mark = im.db.delta_epoch();
 
         // Give String Fling a pianist: Gil learns piano.
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
         im.db.add_value(gil, im.plays, im.piano).unwrap();
-        let owners: OrderedSet = [gil].into_iter().collect();
-        let (added, removed) = maint
-            .apply_attr_change(&mut im.db, im.plays, &owners)
-            .unwrap();
-        assert_eq!((added, removed), (1, 0));
+        let counts = round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_eq!(counts, vec![(1, 0)]);
         let fling = im
             .db
             .entity_by_name(im.music_groups, "String Fling")
@@ -525,28 +468,16 @@ mod tests {
         im.db.assign_multi(labelle, im.members, without).unwrap();
         let three = im.db.int(3);
         im.db.assign_single(labelle, im.size, three).unwrap();
-        let owners: OrderedSet = [labelle].into_iter().collect();
-        maint
-            .apply_attr_change(&mut im.db, im.members, &owners)
-            .unwrap();
-        let (_, removed) = maint
-            .apply_attr_change(&mut im.db, im.size, &owners)
-            .unwrap();
+        let counts = round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_eq!(counts, vec![(0, 1)]);
         assert!(!im.db.members(quartets).unwrap().contains(labelle));
-        // Removal happened in one of the two notifications.
-        let _ = removed;
     }
 
     #[test]
     fn incremental_agrees_with_full_recompute() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let (quartets, pred, maints, mut service) = quartets(&mut im);
+        let mut mark = im.db.delta_epoch();
         let hana = im.db.entity_by_name(im.musicians, "Hana").unwrap();
         let trio = im
             .db
@@ -560,31 +491,14 @@ mod tests {
         im.db
             .assign_multi(trio, im.members, members.iter())
             .unwrap();
+        round(&mut im.db, &maints, &mut service, &mut mark);
         im.db.assign_single(trio, im.size, four).unwrap();
-        let owners: OrderedSet = [trio].into_iter().collect();
-        maint
-            .apply_attr_change(&mut im.db, im.members, &owners)
-            .unwrap();
-        maint
-            .apply_attr_change(&mut im.db, im.size, &owners)
-            .unwrap();
+        round(&mut im.db, &maints, &mut service, &mut mark);
         // 2. Hana stops playing piano (affects Trio via members plays map).
         let guitar = im.db.entity_by_name(im.instruments, "guitar").unwrap();
         im.db.assign_multi(hana, im.plays, [guitar]).unwrap();
-        let owners: OrderedSet = [hana].into_iter().collect();
-        maint
-            .apply_attr_change(&mut im.db, im.plays, &owners)
-            .unwrap();
-        let mut a: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        a.sort();
-        let mut b: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        b.sort();
-        assert_eq!(a, b);
+        round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_matches_full(&im.db, quartets, im.music_groups, &pred);
         // Trio Grande still qualifies through Fiona's piano.
         assert!(im.db.members(quartets).unwrap().contains(trio));
     }
@@ -592,22 +506,22 @@ mod tests {
     #[test]
     fn unrelated_attr_changes_touch_nothing() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
+        let (_, _, maints, service) = quartets(&mut im);
+        let mark = im.db.delta_epoch();
+        // A family reassignment is invisible to the quartets predicate…
+        im.db
+            .assign_single(im.flute, im.family, im.woodwind)
             .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
-        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        // A family reassignment is invisible to the quartets predicate.
-        let owners: OrderedSet = [im.flute].into_iter().collect();
-        let affected = maint
-            .affected_candidates(&im.db, im.family, &owners)
-            .unwrap();
-        assert!(affected.is_empty());
-        // And a popular-flag change likewise.
-        let affected = maint
-            .affected_candidates(&im.db, im.popular, &owners)
+        // … and a popular-flag change likewise.
+        let yes = im.db.boolean(true);
+        let no = im.db.boolean(false);
+        let popular = im.db.attr_value_set(im.flute, im.popular).unwrap();
+        let flipped = if popular.contains(yes) { no } else { yes };
+        im.db.assign_single(im.flute, im.popular, flipped).unwrap();
+        let changes = im.db.changes_since(mark).unwrap();
+        assert_eq!(changes.touched_attrs().len(), 2);
+        let affected = maints[0]
+            .collect_affected(&im.db, &service, &changes)
             .unwrap();
         assert!(affected.is_empty());
     }
@@ -615,18 +529,14 @@ mod tests {
     #[test]
     fn plays_change_affects_only_groups_reaching_the_musician() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
-        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let (_, _, maints, service) = quartets(&mut im);
+        let mark = im.db.delta_epoch();
         // Dave is in String Fling only.
         let dave = im.db.entity_by_name(im.musicians, "Dave").unwrap();
-        let owners: OrderedSet = [dave].into_iter().collect();
-        let affected = maint
-            .affected_candidates(&im.db, im.plays, &owners)
+        im.db.add_value(dave, im.plays, im.piano).unwrap();
+        let changes = im.db.changes_since(mark).unwrap();
+        let affected = maints[0]
+            .collect_affected(&im.db, &service, &changes)
             .unwrap();
         let fling = im
             .db
@@ -636,16 +546,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_changes_consumes_the_delta_log() {
+    fn round_consumes_the_delta_log() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mark = im.db.delta_epoch();
+        let (quartets, pred, maints, mut service) = quartets(&mut im);
+        let mut mark = im.db.delta_epoch();
 
         // Gil learns piano → String Fling becomes a quartet.
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
@@ -668,33 +572,21 @@ mod tests {
         let three = im.db.int(3);
         im.db.assign_single(im.labelle, im.size, three).unwrap();
 
-        let changes = im.db.changes_since(mark).unwrap();
-        let (added, removed) = maint.apply_changes(&mut im.db, &changes).unwrap();
+        let counts = round(&mut im.db, &maints, &mut service, &mut mark);
+        let (added, removed) = counts[0];
         assert!(added >= 2, "String Fling and New Four must join");
         assert!(removed >= 1, "LaBelle must leave");
-        let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        got.sort();
-        let mut want: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
+        assert_matches_full(&im.db, quartets, im.music_groups, &pred);
+        // The echo window (our own membership writes) settles to nothing.
+        let echo = round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_eq!(echo, vec![(0, 0)]);
     }
 
     #[test]
-    fn apply_changes_handles_entity_deletion() {
+    fn round_handles_entity_deletion() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mark = im.db.delta_epoch();
+        let (quartets, pred, maints, mut service) = quartets(&mut im);
+        let mut mark = im.db.delta_epoch();
         // Deleting a quartet member's pianist can disqualify the group.
         let member_of_quartet = im
             .db
@@ -704,47 +596,30 @@ mod tests {
             .next()
             .expect("seed data has a quartet");
         im.db.delete_entity(member_of_quartet).unwrap();
-        let changes = im.db.changes_since(mark).unwrap();
-        maint.apply_changes(&mut im.db, &changes).unwrap();
-        let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        got.sort();
-        let mut want: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
+        round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_matches_full(&im.db, quartets, im.music_groups, &pred);
     }
 
     #[test]
-    fn apply_changes_rebuilds_on_schema_edit() {
+    fn round_refuses_a_schema_window() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let (quartets, _, maints, mut service) = quartets(&mut im);
         let mark = im.db.delta_epoch();
         im.db.create_baseclass("venues").unwrap();
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
         im.db.add_value(gil, im.plays, im.piano).unwrap();
         let changes = im.db.changes_since(mark).unwrap();
         assert!(changes.has_schema_changes());
-        maint.apply_changes(&mut im.db, &changes).unwrap();
-        let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        got.sort();
-        let mut want: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
+        let before = im.db.members(quartets).unwrap().clone();
+        let stats = service.index_stats();
+        let res = DerivedMaintainer::apply_round(&maints, &mut im.db, &mut service, &changes);
+        assert!(
+            matches!(res, Err(QueryError::Unsupported(_))),
+            "a schema window must be refused: {res:?}"
+        );
+        // Refused before any work: no index drain, no membership write.
+        assert_eq!(service.index_stats(), stats);
+        assert!(im.db.members(quartets).unwrap().set_eq(&before));
     }
 
     #[test]
@@ -783,8 +658,9 @@ mod tests {
         // flute starts mis-filed under brass → String Fling qualifies.
         assert!(im.db.members(flute_groups).unwrap().contains(fling));
         assert!(!im.db.members(flute_groups).unwrap().contains(im.labelle));
-        let mut maint = DerivedMaintainer::new(&im.db, flute_groups).unwrap();
-        let mark = im.db.delta_epoch();
+        let maints = vec![DerivedMaintainer::new(&im.db, flute_groups).unwrap()];
+        let mut service = service_for(&im.db, &maints);
+        let mut mark = im.db.delta_epoch();
         // Mid-drain re-key: the §4.2 correction moves flute to woodwind,
         // re-partitioning by_family and silently re-aiming every stored
         // sections value — without any transition of `sections` itself.
@@ -793,30 +669,21 @@ mod tests {
         im.db
             .assign_single(im.flute, im.family, im.woodwind)
             .unwrap();
-        let changes = im.db.changes_since(mark).unwrap();
-        let (added, removed) = maint.apply_changes(&mut im.db, &changes).unwrap();
-        assert_eq!((added, removed), (1, 1), "re-key must swap the member");
+        let counts = round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_eq!(counts, vec![(1, 1)], "re-key must swap the member");
         let got = im.db.members(flute_groups).unwrap();
         assert!(got.contains(im.labelle), "woodwind sections now hold flute");
         assert!(!got.contains(fling), "brass sections lost the flute");
-        let want = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap();
-        assert!(got.set_eq(&want));
+        assert_matches_full(&im.db, flute_groups, im.music_groups, &pred);
     }
 
     #[test]
     fn membership_change_reevaluates_entity() {
         let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        // A brand-new qualifying group appears.
+        let (quartets, _, maints, mut service) = quartets(&mut im);
+        let mut mark = im.db.delta_epoch();
+        // A brand-new qualifying group appears: its MembershipAdded into
+        // the parent puts it in the affected set.
         let g = im.db.insert_entity(im.music_groups, "New Four").unwrap();
         let four = im.db.int(4);
         im.db.assign_single(g, im.size, four).unwrap();
@@ -827,8 +694,13 @@ mod tests {
         im.db
             .assign_multi(g, im.members, [kurt, amy, bob, carol])
             .unwrap();
-        let (added, _) = maint.apply_membership_change(&mut im.db, g).unwrap();
-        assert_eq!(added, 1);
+        let changes = im.db.changes_since(mark).unwrap();
+        assert!(changes.iter().any(|c| matches!(
+            c,
+            Change::MembershipAdded { entity, class } if *entity == g && *class == im.music_groups
+        )));
+        let counts = round(&mut im.db, &maints, &mut service, &mut mark);
+        assert_eq!(counts, vec![(1, 0)]);
         assert!(im.db.members(quartets).unwrap().contains(g));
     }
 }

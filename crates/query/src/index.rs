@@ -117,23 +117,6 @@ impl AttrIndex {
     }
 }
 
-/// Read access to a keyed collection of inverted attribute indexes.
-///
-/// Implemented by the raw `HashMap` store, by [`crate::IndexManager`], and
-/// by [`crate::IndexService`], so maintenance code that *walks* indexes
-/// (e.g. [`crate::DerivedMaintainer`]) can run against private or shared
-/// index sets interchangeably.
-pub trait IndexLookup {
-    /// The index registered for `attr`, if any.
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex>;
-}
-
-impl IndexLookup for HashMap<AttrId, AttrIndex> {
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.get(&attr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,11 +12,12 @@
 //! * [`qbe`] — a Query-by-Example baseline, the paper's §1.1 comparator;
 //! * [`index`] — inverted attribute indexes (groupings made operational);
 //! * [`incremental`] — incremental maintenance of derived subclasses by
-//!   inverse map traversal, fed by the core delta log;
-//! * [`manager`] — an [`IndexManager`] that keeps a set of attribute
-//!   indexes current by consuming [`isis_core::ChangeSet`]s;
+//!   inverse map traversal over the shared [`IndexService`], one delta
+//!   round ([`DerivedMaintainer::apply_round`]) per window of the core
+//!   delta log;
 //! * [`service`] — the shared [`IndexService`]: one maintained index set
-//!   serving the evaluator, the optimizer, and derived-class maintenance,
+//!   (kept current by consuming [`isis_core::ChangeSet`]s) serving the
+//!   evaluator, the optimizer, and derived-class maintenance,
 //!   with an access-path planner and observable [`QueryStats`]; its
 //!   `evaluate`/`explain` are the one query evaluation path;
 //! * [`optimizer`] — a short-circuit atom/clause reordering optimizer with
@@ -38,7 +39,7 @@ pub mod error;
 pub mod explain;
 pub mod incremental;
 pub mod index;
-pub mod manager;
+mod manager;
 pub mod optimizer;
 pub mod parallel;
 pub mod program;
@@ -54,8 +55,8 @@ pub use compile::{
 pub use error::QueryError;
 pub use explain::{AtomPlan, ColumnStat, ExplainRecord, SlowQuery};
 pub use incremental::DerivedMaintainer;
-pub use index::{AttrIndex, IndexLookup};
-pub use manager::{IndexManager, IndexStats};
+pub use index::AttrIndex;
+pub use manager::IndexStats;
 pub use optimizer::{estimate_atom, optimize, AtomEstimate, Explain};
 pub use parallel::{chunk_decision, EvalPool};
 pub use program::{MemoTable, PredicateProgram, BATCH_ROWS};

@@ -16,9 +16,10 @@ use isis_core::{
     SchemaEdit, ValueClass,
 };
 
-use crate::index::{AttrIndex, IndexLookup};
+use crate::index::AttrIndex;
 
-/// Counters describing how an [`IndexManager`] kept its indexes current.
+/// Counters describing how an [`crate::IndexService`] kept its indexes
+/// current.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Individual posting-list patches applied from deltas.
@@ -31,7 +32,7 @@ pub struct IndexStats {
 /// Owns inverted attribute indexes and applies [`ChangeSet`]s to them
 /// incrementally.
 #[derive(Debug, Default)]
-pub struct IndexManager {
+pub(crate) struct IndexManager {
     indexes: HashMap<AttrId, AttrIndex>,
     /// Owner class of each indexed attribute (membership changes there
     /// add/remove whole owner rows).
@@ -161,36 +162,6 @@ impl IndexManager {
         Ok(())
     }
 
-    /// Re-reads the current values of the `owners` entities for `attr` and
-    /// patches the posting lists accordingly (grouping-ranged indexes and
-    /// dependent grouping-ranged indexes rebuild instead). For callers that
-    /// know which owners changed without having a delta window.
-    pub fn refresh_owners(
-        &mut self,
-        db: &Database,
-        attr: AttrId,
-        owners: &OrderedSet,
-    ) -> Result<()> {
-        self.rebuild_dependents(db, attr)?;
-        if !self.indexes.contains_key(&attr) {
-            return Ok(());
-        }
-        if self.grouping_bases.contains_key(&attr) {
-            self.indexes.insert(attr, AttrIndex::build(db, attr)?);
-            self.stats.rebuilds += 1;
-            return Ok(());
-        }
-        for e in owners.iter() {
-            let new = db.attr_value_set(e, attr)?;
-            if let Some(idx) = self.indexes.get_mut(&attr) {
-                let old = idx.owned_values(e);
-                idx.update(e, &old, &new);
-                self.stats.incremental_updates += 1;
-            }
-        }
-        Ok(())
-    }
-
     fn apply_transition(
         &mut self,
         db: &Database,
@@ -288,12 +259,6 @@ impl IndexManager {
             self.stats.rebuilds += 1;
         }
         Ok(())
-    }
-}
-
-impl IndexLookup for IndexManager {
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.indexes.get(&attr)
     }
 }
 
@@ -427,19 +392,6 @@ mod tests {
             idx.owners_of(im.flute).map(|s| s.len()),
             live.owners_of(im.flute).map(|s| s.len())
         );
-    }
-
-    #[test]
-    fn refresh_owners_patches_point_changes() {
-        let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
-        mgr.add_index(&im.db, im.plays).unwrap();
-        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
-        im.db.add_value(gil, im.plays, im.piano).unwrap();
-        let owners: OrderedSet = [gil].into_iter().collect();
-        mgr.refresh_owners(&im.db, im.plays, &owners).unwrap();
-        assert_index_fresh(&mgr, &im.db, im.plays);
-        assert_eq!(mgr.stats().rebuilds, 0);
     }
 
     #[test]

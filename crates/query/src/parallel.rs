@@ -11,7 +11,7 @@
 //! [`EvalPool::evaluate`] is the one evaluation body behind every query
 //! path: [`crate::IndexService::evaluate`] and
 //! [`crate::IndexService::explain`] hand it the planner's pruned candidate
-//! list, and [`crate::DerivedMaintainer::settle_with`] hands it a refresh
+//! list, and [`crate::DerivedMaintainer::settle`] hands it a refresh
 //! round's affected set. The workers are **persistent** (one pool per
 //! service) so repeated queries pay thread startup once, not per call.
 //! Chunking is adaptive: with one worker, or a slice too small to amortise

@@ -3,8 +3,8 @@
 //! The paper's predicate worksheet makes queries first-class derived
 //! subclasses, so query answering and derived-class maintenance are two
 //! consumers of the same attribute structure. [`IndexService`] is that
-//! structure made shared: one [`IndexManager`]-maintained set of inverted
-//! attribute indexes, kept current from the core delta log, read by
+//! structure made shared: one maintained set of inverted attribute
+//! indexes, kept current from the core delta log, read by
 //!
 //! * the predicate evaluator ([`IndexService::evaluate`] and
 //!   [`IndexService::explain`], which run the same body and hand the
@@ -12,7 +12,10 @@
 //! * the short-circuit optimizer ([`crate::optimize`] consults the service
 //!   for selectivity statistics), and
 //! * [`crate::DerivedMaintainer`]s, which walk the same indexes backwards
-//!   to find the candidates a change can affect.
+//!   to find the candidates a change can affect. They own no index of
+//!   their own: [`crate::DerivedMaintainer::apply_round`] drains each
+//!   window into the service once ([`IndexService::apply`]) between the
+//!   pre- and post-state walks.
 //!
 //! The service also hosts the *access-path planner*: for each atom it
 //! chooses between an index probe (posting-list lookup), a grouping-range
@@ -55,7 +58,7 @@ use isis_core::{
 };
 
 use crate::cache::{CachedPlan, ProgramCache};
-use crate::index::{AttrIndex, IndexLookup};
+use crate::index::AttrIndex;
 use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
 
@@ -842,12 +845,6 @@ impl IndexService {
     pub fn note_unassisted_scan(&self) {
         self.bump(&self.queries, &self.obs.queries);
         self.bump(&self.seq_scans, &self.obs.seq_scans);
-    }
-}
-
-impl IndexLookup for IndexService {
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.manager.index(attr)
     }
 }
 

@@ -565,7 +565,7 @@ impl Session {
     ///
     /// The fast path consumes the core delta log from the last synchronised
     /// epoch and re-evaluates only affected candidates (via
-    /// [`DerivedMaintainer::apply_changes`]). A full re-evaluation happens
+    /// [`DerivedMaintainer::apply_round`]). A full re-evaluation happens
     /// only when the window contains schema edits, was evicted, or the
     /// database was replaced since the last refresh.
     pub fn refresh_derived(&mut self) -> Result<(), SessionError> {
@@ -597,9 +597,9 @@ impl Session {
             }
             obs.count("session.refresh.rounds", 1);
             self.refresh_cursor = self.db.delta_epoch();
-            let mut maints = self.maintainers.take().unwrap_or_default();
+            let maints = self.maintainers.take().unwrap_or_default();
             let mut service = self.service.take().unwrap_or_default();
-            let outcome = self.apply_round(&mut maints, &mut service, &cs);
+            let outcome = self.apply_round(&maints, &mut service, &cs);
             self.maintainers = Some(maints);
             self.service = Some(service);
             outcome?;
@@ -608,14 +608,12 @@ impl Session {
         self.full_refresh()
     }
 
-    /// One delta round, with a single shared index drain: every maintainer
-    /// first collects its affected candidates against the *pre-state*
-    /// indexes, the service consumes the window once, the maintainers
-    /// re-collect against the post-state indexes and settle, and finally
-    /// the derived attributes the window touches are refreshed.
+    /// One delta round: [`DerivedMaintainer::apply_round`] refreshes every
+    /// derived subclass with a single shared index drain, then the derived
+    /// attributes the window touches are refreshed.
     fn apply_round(
         &mut self,
-        maints: &mut [DerivedMaintainer],
+        maints: &[DerivedMaintainer],
         service: &mut IndexService,
         cs: &ChangeSet,
     ) -> Result<(), SessionError> {
@@ -624,43 +622,13 @@ impl Session {
         obs.event("session.refresh.window", || {
             format!("{} change(s), {} maintainer(s)", cs.len(), maints.len())
         });
-        // Pre-state: the shared indexes still reflect the old attribute
-        // values, so walk-backs find candidates that *used to* reach a
-        // changed entity.
-        let mut affected: Vec<OrderedSet> = Vec::with_capacity(maints.len());
-        {
-            let _collect = obs.span("session.refresh.collect");
-            for m in maints.iter() {
-                affected.push(m.collect_affected(&self.db, &*service, cs)?);
-            }
-        }
-        // The one drain: both the maintainers and the ad-hoc query planner
-        // read from these indexes afterwards.
-        {
-            let _apply = obs.span("session.refresh.apply");
-            service.apply(&self.db, cs)?;
-        }
-        // Post-state: candidates that *now* reach a changed entity.
-        {
-            let _collect = obs.span("session.refresh.collect");
-            for (m, aff) in maints.iter().zip(affected.iter_mut()) {
-                aff.extend_from(&m.collect_affected(&self.db, &*service, cs)?);
-            }
-        }
-        {
-            let _settle = obs.span("session.refresh.settle");
-            // Affected sets settle over the service's worker pool — the
-            // same one queries use (serial at one worker).
-            for (m, aff) in maints.iter().zip(affected.iter()) {
-                let (added, removed) = m
-                    .settle_with(&mut self.db, aff, service.eval_pool())
-                    .map_err(SessionError::Query)?;
-                if added + removed > 0 {
-                    let name = self.db.class(m.class())?.name.clone();
-                    self.say(format!(
-                        "{name} re-evaluated: +{added} -{removed} members (delta)"
-                    ));
-                }
+        let counts = DerivedMaintainer::apply_round(maints, &mut self.db, service, cs)?;
+        for (m, (added, removed)) in maints.iter().zip(counts) {
+            if added + removed > 0 {
+                let name = self.db.class(m.class())?.name.clone();
+                self.say(format!(
+                    "{name} re-evaluated: +{added} -{removed} members (delta)"
+                ));
             }
         }
         let touched = cs.touched_attrs();

@@ -569,3 +569,63 @@ fn parallel_query_matches_serial_and_keeps_a_persistent_pool() {
         Some(2)
     );
 }
+
+#[test]
+fn schema_edit_then_refresh_takes_the_full_path() {
+    let mut im = instrumental_music().unwrap();
+    let pred = isis_sample::quartets_predicate(&mut im);
+    let quartets = im
+        .db
+        .create_derived_subclass(im.music_groups, "quartets")
+        .unwrap();
+    im.db.commit_membership(quartets, pred.clone()).unwrap();
+    let mut s = Session::builder(im.db.clone())
+        .refresh_policy(RefreshPolicy::Manual)
+        .build();
+    s.apply(Command::Refresh).unwrap();
+    let gil = s.database().entity_by_name(im.musicians, "Gil").unwrap();
+    let fling = s
+        .database()
+        .entity_by_name(im.music_groups, "String Fling")
+        .unwrap();
+    let plays = s.database().attr_value_set(gil, im.plays).unwrap();
+    let want_full = |s: &Session| {
+        let got = s.database().members(quartets).unwrap();
+        let want = s
+            .database()
+            .evaluate_derived_members(im.music_groups, &pred)
+            .unwrap();
+        assert!(got.set_eq(&want), "refresh {got:?} != full {want:?}");
+    };
+
+    // A window mixing a data edit with a schema edit: the delta round
+    // refuses schema edits, so refresh must re-evaluate in full.
+    s.transact(|db| db.add_value(gil, im.plays, im.piano))
+        .unwrap();
+    s.transact(|db| db.create_baseclass("venues").map(|_| ()))
+        .unwrap();
+    let before = s.messages().len();
+    s.apply(Command::Refresh).unwrap();
+    let said = s.messages()[before..].to_vec();
+    assert!(
+        said.iter()
+            .any(|m| m.contains("quartets re-evaluated: 1 -> 2 members")),
+        "expected the full-refresh message, got {said:?}"
+    );
+    assert!(!said.iter().any(|m| m.contains("(delta)")), "{said:?}");
+    assert!(s.database().members(quartets).unwrap().contains(fling));
+    want_full(&s);
+
+    // The next data-only window takes the delta round again.
+    s.transact(|db| db.assign_multi(gil, im.plays, plays.iter()))
+        .unwrap();
+    let before = s.messages().len();
+    s.apply(Command::Refresh).unwrap();
+    let said = s.messages()[before..].to_vec();
+    assert!(
+        said.iter()
+            .any(|m| m.contains("quartets re-evaluated: +0 -1 members (delta)")),
+        "expected the delta message, got {said:?}"
+    );
+    want_full(&s);
+}

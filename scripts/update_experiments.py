@@ -52,16 +52,16 @@ A("unselective atoms while OR-of-clauses (DNF) must try every clause.")
 A("")
 A("### E-2 Derived-class maintenance (`benches/derived_class.rs`)")
 A("")
-A("| n | full refresh | incremental (1 changed musician, incl. index rebuild) | affected-candidate analysis |")
+A("| n | full refresh | delta round (1 changed musician) | affected-candidate analysis |")
 A("|---|---|---|---|")
 for n in [100, 400, 1600]:
-    A(f"| {n} | {g(f'derived_class/full_refresh/{n}')} | {g(f'derived_class/incremental_one_change/{n}')} | {g(f'derived_class/affected_candidates/{n}')} |")
+    A(f"| {n} | {g(f'derived_class/full_refresh/{n}')} | {g(f'derived_class/delta_pipeline/{n}')} | {g(f'derived_class/affected_candidates/{n}')} |")
 A("")
-A("The incremental arm re-clones the database and rebuilds its inverted")
-A("indexes every iteration; even so it overtakes full refresh by n=1600. The")
-A("*analysis itself* — which candidates can a change affect — is")
-A("sub-microsecond and flat, so a long-lived `DerivedMaintainer` reduces")
-A("maintenance to re-evaluating a handful of groups.")
+A("The delta arm reads the change window and runs one")
+A("`DerivedMaintainer::apply_round` over a long-lived `IndexService`. The")
+A("*analysis itself* (`collect_affected`: which candidates can a change")
+A("affect) is sub-microsecond and flat, so maintenance reduces to")
+A("re-evaluating a handful of groups.")
 A("")
 A("### E-3 Query engine baselines (`benches/baselines.rs`)")
 A("")

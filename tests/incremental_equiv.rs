@@ -1,10 +1,13 @@
 //! Property-based equivalence of the delta-refresh pipeline: after an
 //! arbitrary sequence of data mutations, draining the core change log
-//! through [`DerivedMaintainer::apply_changes`] must leave a derived
-//! subclass with exactly the membership a full `refresh_derived_class`
-//! (re-evaluation over the whole parent extent) would compute.
+//! through [`DerivedMaintainer::apply_round`] — the round every session
+//! refresh runs — must leave each derived subclass with exactly the
+//! membership a full `refresh_derived_class` (re-evaluation over the whole
+//! parent extent) would compute, and the shared [`IndexService`] with the
+//! postings a fresh index build would hold.
 
 use isis::prelude::*;
+use isis_query::AttrIndex;
 use isis_sample::{instrumental_music, InstrumentalMusic};
 use proptest::prelude::*;
 
@@ -152,27 +155,68 @@ fn apply_op(
     true
 }
 
-/// Drains the delta log through the maintainer, session-style: the
-/// maintainer's own membership writes are re-read as echoes until the log
+/// Drains the delta log through the shared round, session-style: the
+/// maintainers' own membership writes are re-read as echoes until the log
 /// runs dry.
-fn drain(db: &mut Database, maint: &mut DerivedMaintainer, cursor: &mut u64) {
+fn drain(
+    db: &mut Database,
+    maints: &[DerivedMaintainer],
+    service: &mut IndexService,
+    cursor: &mut u64,
+) {
     for _ in 0..8 {
         let cs = db.changes_since(*cursor).expect("delta window evicted");
         if cs.is_empty() {
             return;
         }
         *cursor = db.delta_epoch();
-        maint.apply_changes(db, &cs).unwrap();
+        DerivedMaintainer::apply_round(maints, db, service, &cs).unwrap();
     }
     let cs = db.changes_since(*cursor).expect("delta window evicted");
     assert!(cs.is_empty(), "delta drain did not converge");
 }
 
+/// Every index the service maintains holds exactly the postings a fresh
+/// build over the current database would.
+fn assert_indexes_fresh(db: &Database, service: &IndexService) {
+    for attr in service.indexed_attrs() {
+        let kept = service.index(attr).unwrap();
+        let fresh = AttrIndex::build(db, attr).unwrap();
+        assert_eq!(kept.distinct_values(), fresh.distinct_values());
+        for v in fresh.values() {
+            let (a, b) = (kept.owners_of(v), fresh.owners_of(v));
+            assert!(
+                a.is_some_and(|a| a.set_eq(b.unwrap())),
+                "postings of {attr:?} diverge for value {v:?}"
+            );
+        }
+    }
+}
+
+/// The members of `class`, sorted, against a full re-evaluation.
+fn delta_and_full(
+    db: &Database,
+    class: ClassId,
+    pred: &Predicate,
+) -> (Vec<EntityId>, Vec<EntityId>) {
+    let parent = db.class(class).unwrap().parent.unwrap();
+    let mut delta: Vec<EntityId> = db.members(class).unwrap().iter().collect();
+    delta.sort();
+    let mut full: Vec<EntityId> = db
+        .evaluate_derived_members(parent, pred)
+        .unwrap()
+        .iter()
+        .collect();
+    full.sort();
+    (delta, full)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Random predicate + random mutation sequence: the delta path and the
-    /// full re-evaluation select exactly the same members.
+    /// Random predicates + random mutation sequence: two derived classes
+    /// sharing one service and one drain select exactly the members full
+    /// re-evaluation does, and the drained indexes match fresh builds.
     #[test]
     fn delta_refresh_matches_full_refresh(
         clauses in proptest::collection::vec(
@@ -180,6 +224,7 @@ proptest! {
             1..3
         ),
         dnf in any::<bool>(),
+        second in proptest::collection::vec(atom_strategy(), 1..3),
         ops in proptest::collection::vec(op_strategy(), 1..12),
         drain_each in any::<bool>(),
     ) {
@@ -190,10 +235,27 @@ proptest! {
             .map(|atoms| Clause::new(atoms.iter().map(|g| build_atom(&im, yes, g)).collect()))
             .collect();
         let pred = if dnf { Predicate::dnf(cs) } else { Predicate::cnf(cs) };
+        let second_pred = Predicate::cnf(vec![Clause::new(
+            second.iter().map(|g| build_atom(&im, yes, g)).collect(),
+        )]);
 
-        let derived = im.db.create_derived_subclass(im.musicians, "gen_derived").unwrap();
-        im.db.commit_membership(derived, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, derived).unwrap();
+        let mut classes = Vec::new();
+        for (name, p) in [("gen_derived", &pred), ("gen_second", &second_pred)] {
+            let derived = im.db.create_derived_subclass(im.musicians, name).unwrap();
+            im.db.commit_membership(derived, p.clone()).unwrap();
+            classes.push((derived, p.clone()));
+        }
+        let maints: Vec<DerivedMaintainer> = classes
+            .iter()
+            .map(|(c, _)| DerivedMaintainer::new(&im.db, *c).unwrap())
+            .collect();
+        let mut service = IndexService::new(&im.db);
+        for m in &maints {
+            for &attr in m.used_attrs() {
+                service.ensure_index(&im.db, attr).unwrap();
+            }
+        }
+        service.set_cursor(&im.db);
         let mut cursor = im.db.delta_epoch();
 
         let mut live = im.all_musicians.clone();
@@ -201,26 +263,20 @@ proptest! {
         for op in &ops {
             apply_op(&mut im, &mut live, &mut fresh, op);
             if drain_each {
-                drain(&mut im.db, &mut maint, &mut cursor);
+                drain(&mut im.db, &maints, &mut service, &mut cursor);
             }
         }
-        drain(&mut im.db, &mut maint, &mut cursor);
+        drain(&mut im.db, &maints, &mut service, &mut cursor);
 
-        let mut incremental: Vec<EntityId> =
-            im.db.members(derived).unwrap().iter().collect();
-        incremental.sort();
-        let mut full: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.musicians, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        full.sort();
-        prop_assert_eq!(
-            &incremental, &full,
-            "delta refresh diverged from full refresh for {} after {:?}",
-            pred, ops
-        );
+        for (class, p) in &classes {
+            let (delta, full) = delta_and_full(&im.db, *class, p);
+            prop_assert_eq!(
+                &delta, &full,
+                "delta refresh diverged from full refresh for {} after {:?}",
+                p, ops
+            );
+        }
+        assert_indexes_fresh(&im.db, &service);
         prop_assert!(im.db.is_consistent().unwrap());
     }
 }

@@ -1,10 +1,10 @@
 //! Pooled-settle equivalence and fault surfacing (ISSUE 8 satellite).
 //!
 //! On a synthetic database whose parent extent holds 1e5 musicians, a
-//! [`DerivedMaintainer::settle_with`] run over the shared [`EvalPool`]
-//! must produce *exactly* the memberships — same members, same storage
-//! order, same `(added, removed)` counts — as the serial settle over the
-//! same affected set. And when a worker panics mid-shard, the panic must
+//! [`DerivedMaintainer::settle`] run over a two-worker [`EvalPool`] must
+//! produce *exactly* the memberships — same members, same storage order,
+//! same `(added, removed)` counts — as a one-worker settle over the same
+//! affected set. And when a worker panics mid-shard, the panic must
 //! surface as [`QueryError::WorkerPanic`] with **no** membership writes
 //! applied (the two-phase contract: evaluation fully precedes writes). A
 //! multi-worker `IndexService::evaluate` runs the same body and must
@@ -56,6 +56,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     g.s.db.commit_membership(derived, pred.clone()).unwrap();
 
     let affected: OrderedSet = g.s.musician_ids.iter().copied().collect();
+    let serial = EvalPool::new(1);
     let pool = EvalPool::new(2);
 
     // --- Equivalence: serial and pooled arms on clones of the same state.
@@ -72,10 +73,10 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     let maint_serial = DerivedMaintainer::new(&db_serial, derived).unwrap();
     let maint_pool = DerivedMaintainer::new(&db_pool, derived).unwrap();
 
-    let serial_counts = maint_serial.settle(&mut db_serial, &affected).unwrap();
-    let pool_counts = maint_pool
-        .settle_with(&mut db_pool, &affected, &pool)
+    let serial_counts = maint_serial
+        .settle(&mut db_serial, &affected, &serial)
         .unwrap();
+    let pool_counts = maint_pool.settle(&mut db_pool, &affected, &pool).unwrap();
     assert_eq!(serial_counts, pool_counts, "(added, removed) must match");
     assert!(
         serial_counts.0 + serial_counts.1 > 0,
@@ -91,13 +92,13 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
 
     // Both arms are converged now: a repeat settle is a no-op either way.
     assert_eq!(
-        maint_serial.settle(&mut db_serial, &affected).unwrap(),
+        maint_serial
+            .settle(&mut db_serial, &affected, &serial)
+            .unwrap(),
         (0, 0)
     );
     assert_eq!(
-        maint_pool
-            .settle_with(&mut db_pool, &affected, &pool)
-            .unwrap(),
+        maint_pool.settle(&mut db_pool, &affected, &pool).unwrap(),
         (0, 0)
     );
 
@@ -112,7 +113,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     let members_before = db_pool.members(derived).unwrap().clone();
     let trap = g.s.musician_ids[g.s.musician_ids.len() / 2];
     test_hooks::PANIC_ON_ENTITY.store(trap.raw(), Ordering::SeqCst);
-    let res = maint_pool.settle_with(&mut db_pool, &affected, &pool);
+    let res = maint_pool.settle(&mut db_pool, &affected, &pool);
     // Queries run the same body: a multi-worker service surfaces the same
     // contained panic instead of an answer.
     let svc = IndexService::new(&db_pool);
@@ -138,8 +139,6 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     );
 
     // With the hook disarmed the same settle succeeds and writes.
-    let (added, removed) = maint_pool
-        .settle_with(&mut db_pool, &affected, &pool)
-        .unwrap();
+    let (added, removed) = maint_pool.settle(&mut db_pool, &affected, &pool).unwrap();
     assert!(added + removed > 0, "recovery settle must apply the writes");
 }
